@@ -7,7 +7,8 @@ timestamps in data payloads, coefficients rendered as decimal strings so
 arbitrary precision survives JSON consumers.
 
 Exit codes: 0 success/verified, 1 verification counterexample, 2 usage
-error, 3 resource-cap refusal.
+error (including an invalid ``--cap`` or ``WREATH_CAP`` and an ``--out``
+path that cannot be written), 3 resource-cap refusal.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .enumeration import (
     CapExceededError,
     StatReport,
     flag_table,
+    resolve_cap,
     stat_report,
     verify_abr_identity,
     verify_coset_invariance,
@@ -56,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="maximum element count (default from WREATH_CAP "
                             "or 10^9)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker count, 0 = auto")
+                       help="accepted for compatibility; changes neither "
+                            "the output nor the parallelism")
         p.add_argument("--out", type=str, default=None,
                        help="write output to this path instead of stdout")
 
@@ -119,17 +122,20 @@ def _report_payload(command: str, report: StatReport, stat: str) -> dict:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
 def _run_poly(args) -> int:
     _require_positive("alpha", args.alpha)
     _require_positive("n", args.n)
     report = stat_report(args.alpha, args.n, _STAT_NAMES[args.stat],
-                         args.domain, beta=args.beta, cap=args.cap,
-                         workers=args.threads)
+                         args.domain, beta=args.beta, cap=args.cap)
     if args.format == "json":
         text = json.dumps(_report_payload("poly", report, args.stat)) + "\n"
     elif args.format == "csv":
@@ -156,8 +162,7 @@ def _run_poly(args) -> int:
 def _run_table(args) -> int:
     _require_positive("alpha", args.alpha)
     _require_positive("max-n", args.max_n)
-    rows = flag_table(args.alpha, args.max_n, cap=args.cap,
-                      workers=args.threads)
+    rows = flag_table(args.alpha, args.max_n, cap=args.cap)
     triples = [(n, k, str(c))
                for n, row in enumerate(rows, start=1)
                for k, c in enumerate(row.coefficients)]
@@ -180,6 +185,9 @@ def _run_table(args) -> int:
 
 
 def _run_verify(args) -> int:
+    if args.format != "text":
+        raise ValidationError(
+            f"verify writes text only, not --format {args.format}")
     target = args.target
     if target in ("symmetry", "coset-invariance", "involution"):
         _require_positive("alpha", args.alpha)
@@ -218,7 +226,7 @@ def _run_report(args) -> int:
     rows = []
     for n in range(1, args.max_n + 1):
         report = stat_report(args.alpha, n, STAT_FLAG, "quotient",
-                             cap=args.cap, workers=args.threads)
+                             cap=args.cap)
         rows.append(report)
     if args.format == "json":
         payload = {
@@ -261,6 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        args.cap = resolve_cap(args.cap)
         if args.command == "poly":
             return _run_poly(args)
         if args.command == "table":

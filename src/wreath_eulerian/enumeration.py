@@ -6,21 +6,24 @@ Two computation routes coexist on purpose:
 * the element streams (:func:`iterate_quotient_reps` and friends) yield every
   element in lexicographic order of (window, colors) and are the reference
   semantics;
-* the polynomial builders aggregate by window descent set.  Both the colored
-  descent count and the flag statistic of an element depend only on the set
-  of window descents and the color vector, so tallying windows by descent-set
-  bitmask and sweeping color vectors once gives the same coefficients as a
-  per-element pass at a fraction of the cost.  The test suite checks the two
-  routes against each other.
+* the polynomial builders count by the transfer-matrix method (Stanley,
+  *Enumerative Combinatorics I*, section 4.7).  Both the colored descent
+  count and the flag statistic add up over adjacent pairs (does the window
+  descend there, and how do the two colors compare), so placing entries
+  left to right with the state (last color, rank of the last entry among
+  those placed so far) gives the coefficients in time polynomial in alpha
+  and n, never visiting an element.  The builders share no rule with the
+  per-element statistics, and the test suite checks the two routes against
+  each other.
 
-Work is sharded by first window entry for parallel runs; shard merges are
-plain integer additions, so any completion order gives identical reports.
+The builders' ``workers`` argument is accepted for compatibility; it changes
+neither the result nor the parallelism, since every computation runs in the
+calling thread.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Iterator
@@ -47,13 +50,22 @@ class CapExceededError(RuntimeError):
 
 def resolve_cap(cap: int | None) -> int:
     """Explicit cap, else the WREATH_CAP environment override, else the
-    default."""
-    if cap is not None:
-        return cap
-    env = os.environ.get("WREATH_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_CAP
+    default.  A negative cap or a WREATH_CAP that is not an integer is a
+    ValidationError naming its source."""
+    source = "cap"
+    if cap is None:
+        env = os.environ.get("WREATH_CAP")
+        if env is None:
+            return DEFAULT_CAP
+        source = "WREATH_CAP"
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValidationError(
+                f"WREATH_CAP must be an integer, got {env!r}") from None
+    if cap < 0:
+        raise ValidationError(f"{source} must be >= 0, got {cap}")
+    return cap
 
 
 def _check_parameters(alpha: int, n: int) -> None:
@@ -136,40 +148,7 @@ def iterate_full_group(alpha: int, n: int,
 
 
 # ---------------------------------------------------------------------------
-# Descent-set census and aggregation
-
-def _census_shard(args: tuple[int, int]) -> dict[int, int]:
-    """Descent-set bitmask counts over windows starting with a fixed value.
-    Bit i is set when the window descends between positions i+1 and i+2."""
-    n, first = args
-    counts: dict[int, int] = {}
-    rest = [v for v in range(1, n + 1) if v != first]
-    for tail in itertools.permutations(rest):
-        mask = 0
-        prev = first
-        for i, v in enumerate(tail):
-            if prev > v:
-                mask |= 1 << i
-            prev = v
-        counts[mask] = counts.get(mask, 0) + 1
-    return counts
-
-
-def _descent_census(n: int, workers: int = 1) -> dict[int, int]:
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    jobs = [(n, first) for first in range(1, n + 1)]
-    if workers > 1 and n >= 7:
-        with multiprocessing.Pool(min(workers, n)) as pool:
-            parts = pool.map(_census_shard, jobs)
-    else:
-        parts = [_census_shard(job) for job in jobs]
-    merged: dict[int, int] = {}
-    for part in parts:
-        for mask, cnt in part.items():
-            merged[mask] = merged.get(mask, 0) + cnt
-    return merged
-
+# Transfer-matrix builder
 
 def _nominal_degree(alpha: int, n: int, statistic: str, beta: int | None) -> int:
     """Maximum of the statistic over the domain: n-1 for colored descents;
@@ -182,38 +161,55 @@ def _nominal_degree(alpha: int, n: int, statistic: str, beta: int | None) -> int
     return alpha * (n - 1) + beta
 
 
-def _color_vectors(alpha: int, n: int, beta: int | None):
-    if beta is None:
-        return itertools.product(range(alpha), repeat=n)
-    tail = (beta,)
-    return (head + tail for head in itertools.product(range(alpha), repeat=n - 1))
-
-
 def _distribution(alpha: int, n: int, statistic: str, beta: int | None,
-                  cap: int | None, workers: int) -> list[int]:
+                  cap: int | None) -> list[int]:
     """Coefficient vector of the statistic's generating polynomial over the
-    domain (beta=None means the full group, otherwise fixed last color)."""
-    count = full_cardinality(alpha, n) if beta is None else quotient_cardinality(alpha, n)
-    _guard(count, cap)
-    coeffs = [0] * (_nominal_degree(alpha, n, statistic, beta) + 1)
-    census = _descent_census(n, workers)
+    domain (beta=None means the full group, otherwise fixed last color).
+
+    Entries are placed left to right.  After i entries the state is (c, r):
+    the last entry's color c and its rank r among the first i window values;
+    each state carries the coefficient vector of the statistic over those
+    prefixes.  A next entry of rank k among i + 1 values lies below the
+    previous entry of rank j iff j >= k, so prefix sums over j give each
+    step in O(alpha * i) vector sums.
+    """
+    _guard(full_cardinality(alpha, n) if beta is None
+           else quotient_cardinality(alpha, n), cap)
+    size = _nominal_degree(alpha, n, statistic, beta) + 1
     flag = statistic == STAT_FLAG
     step = alpha if flag else 1
-    for colors in _color_vectors(alpha, n, beta):
-        eq_mask = 0
-        base = colors[0] if flag else 0
-        for i in range(n - 1):
-            ci, cj = colors[i], colors[i + 1]
-            if ci == cj:
-                eq_mask |= 1 << i
-            elif flag:
-                if ci < cj:
-                    base += alpha
-            else:
-                base += 1
-        for mask, cnt in census.items():
-            coeffs[base + step * (eq_mask & mask).bit_count()] += cnt
-    return coeffs
+
+    def shifted(vec: list[int], by: int) -> list[int]:
+        # Values past the nominal degree are dropped: both statistics only
+        # grow along a prefix, so such a prefix never completes to an
+        # element of the domain.  The else branch keeps the length when the
+        # shift passes the end (a flag seed c > beta at n = 1).
+        return [0] * by + vec[:size - by] if by < size else [0] * size
+
+    def vsum(*vecs: list[int]) -> list[int]:
+        return [sum(col) for col in zip(*vecs)]
+
+    zero = [0] * size
+    # states[c][r]; the first color seeds the flag value.
+    states = [[shifted([1] + zero[1:], c if flag else 0)] for c in range(alpha)]
+    for _ in range(n - 1):
+        totals = [vsum(*column) for column in states]
+        new_states = []
+        for d in range(alpha):
+            # From another color: flag adds alpha on a color ascent,
+            # colored descents add 1 on any change.
+            cross = vsum(zero, *(
+                shifted(totals[c], (alpha if c < d else 0) if flag else 1)
+                for c in range(alpha) if c != d))
+            # Same color: below sums the previous ranks j < k, which add
+            # nothing; the ranks j >= k are window descents and add step.
+            new_states.append([
+                vsum(cross, below,
+                     shifted([t - x for t, x in zip(totals[d], below)], step))
+                for below in itertools.accumulate(states[d], vsum, initial=zero)])
+        states = new_states
+    colors = range(alpha) if beta is None else (beta,)
+    return vsum(zero, *(vsum(*states[c]) for c in colors))
 
 
 def _report(alpha: int, n: int, statistic: str, domain: str,
@@ -237,7 +233,7 @@ def colored_eulerian(alpha: int, n: int, cap: int | None = None,
     """Generating polynomial of colored descents over the quotient (one
     representative per coset, last color 0)."""
     _check_parameters(alpha, n)
-    coeffs = _distribution(alpha, n, STAT_DESCENT, 0, cap, workers)
+    coeffs = _distribution(alpha, n, STAT_DESCENT, 0, cap)
     return _report(alpha, n, STAT_DESCENT, "quotient", coeffs)
 
 
@@ -246,7 +242,7 @@ def flag_eulerian_quotient(alpha: int, n: int, cap: int | None = None,
     """Flag Eulerian polynomial over the quotient, nominal degree
     alpha*(n-1)."""
     _check_parameters(alpha, n)
-    coeffs = _distribution(alpha, n, STAT_FLAG, 0, cap, workers)
+    coeffs = _distribution(alpha, n, STAT_FLAG, 0, cap)
     return _report(alpha, n, STAT_FLAG, "quotient", coeffs)
 
 
@@ -255,7 +251,7 @@ def flag_eulerian_full(alpha: int, n: int, cap: int | None = None,
     """Flag Eulerian polynomial over the whole group, nominal degree
     alpha*n - 1."""
     _check_parameters(alpha, n)
-    coeffs = _distribution(alpha, n, STAT_FLAG, None, cap, workers)
+    coeffs = _distribution(alpha, n, STAT_FLAG, None, cap)
     return _report(alpha, n, STAT_FLAG, "full", coeffs)
 
 
@@ -280,7 +276,7 @@ def stat_report(alpha: int, n: int, statistic: str, domain: str,
         label = f"fixed:{beta}"
     else:
         raise ValidationError(f"unknown domain {domain!r}")
-    coeffs = _distribution(alpha, n, statistic, fixed, cap, workers)
+    coeffs = _distribution(alpha, n, statistic, fixed, cap)
     return _report(alpha, n, statistic, label, coeffs)
 
 
@@ -310,7 +306,7 @@ def flag_table(alpha: int, n_max: int, cap: int | None = None,
     has columns k = 0..alpha*(n-1)."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    return [flag_eulerian_quotient(alpha, n, cap=cap, workers=workers).polynomial
+    return [flag_eulerian_quotient(alpha, n, cap=cap).polynomial
             for n in range(1, n_max + 1)]
 
 
@@ -374,28 +370,31 @@ def verify_abr_identity(n_max: int, cap: int | None = None) -> list[Verification
 
 
 def verify_coset_invariance(alpha: int, n: int, cap: int | None = None) -> Verification:
-    """Partition the full group by canonical representative; every coset
-    must have exactly alpha members with a constant descent count, and the
-    descent distribution over representatives must match the quotient
-    polynomial."""
-    cosets: dict[ColoredPermutation, list[int]] = {}
-    for w in iterate_full_group(alpha, n, cap=cap):
-        cosets.setdefault(w.canonical_rep(), []).append(colored_descent_count(w))
-    degree = n - 1
-    coeffs = [0] * (degree + 1)
-    for rep, counts in cosets.items():
-        if len(counts) != alpha:
-            return Verification(
-                False, f"coset has {len(counts)} members, expected {alpha}",
-                counterexample=rep)
-        if any(c != counts[0] for c in counts):
-            return Verification(
-                False, "descent count varies within a coset", counterexample=rep)
-        coeffs[counts[0]] += 1
+    """Every coset of the color-shift subgroup is one quotient representative
+    with its alpha - 1 nonzero shifts: each shift must canonicalize back to
+    the representative and keep its descent count, and the descent
+    distribution over representatives must match the quotient polynomial.
+    One coset is held at a time, so memory does not grow with the group."""
+    _check_parameters(alpha, n)
+    _guard(full_cardinality(alpha, n), cap)
+    coeffs = [0] * n
+    for rep in iterate_quotient_reps(alpha, n, cap=cap):
+        count = colored_descent_count(rep)
+        for shift in range(1, alpha):
+            w = ColoredPermutation(alpha, rep.window,
+                                   tuple((c + shift) % alpha for c in rep.colors))
+            if w.canonical_rep() != rep:
+                return Verification(
+                    False, "color shift does not canonicalize to its representative",
+                    counterexample=w)
+            if colored_descent_count(w) != count:
+                return Verification(
+                    False, "descent count varies within a coset", counterexample=rep)
+        coeffs[count] += 1
     expected = colored_eulerian(alpha, n, cap=cap).polynomial
     if tuple(coeffs) != expected.coefficients:
         return Verification(
             False, "descent distribution over representatives differs from "
                    "the fixed-last-color-0 distribution")
     return Verification(
-        True, f"{len(cosets)} cosets of size {alpha} with constant descent count")
+        True, f"{sum(coeffs)} cosets of size {alpha} with constant descent count")

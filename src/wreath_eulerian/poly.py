@@ -5,9 +5,10 @@ degree is explicit (trailing zeros below it are kept), because palindromicity
 of a descent polynomial must be tested against the statistic's maximum even
 if a leading coefficient were zero.
 
-Real-rootedness is decided exactly: Sturm chains over rational arithmetic on
-the square-free part, with multiplicities recovered by square-free (Yun)
-decomposition.  No floating point anywhere.
+Real-rootedness is decided exactly by Sturm chains over rational arithmetic
+on the square-free part: a polynomial and its square-free part have the same
+roots as a set, so the polynomial is real-rooted iff the square-free part has
+as many distinct real roots as its degree.  No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -171,7 +172,11 @@ def _sturm_chain(c: list[Fraction]) -> list[list[Fraction]]:
         _, r = _divmod(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-x for x in r])
+        # -r scaled to leading coefficient -1 or 1: a positive factor keeps
+        # every sign, and a unit leading coefficient keeps the next
+        # division's quotient coefficients from growing.
+        scale = -1 / abs(r[-1])
+        chain.append([x * scale for x in r])
     return chain
 
 
@@ -180,7 +185,12 @@ def _sign_variations(chain: list[list[Fraction]], point) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _squarefree_part(c: list[Fraction]) -> list[Fraction]:
+def _squarefree_part(p: IntPolynomial) -> list[Fraction]:
+    """Monic square-free part of a nonzero polynomial, leading zero
+    coefficients trimmed; [1] for a constant."""
+    c = _from_int_poly(p)
+    if not c:
+        raise ValueError("zero polynomial rejected")
     g = _gcd(c, _derivative(c))
     if len(g) <= 1:
         return _monic(c)
@@ -188,46 +198,10 @@ def _squarefree_part(c: list[Fraction]) -> list[Fraction]:
     return _monic(q)
 
 
-def _sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
-
-
-def _squarefree_decomposition(c: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun's algorithm: monic square-free factors with their multiplicities.
-    The product of factor^multiplicity equals the input up to a constant."""
-    c = _monic(c)
-    d = _derivative(c)
-    g = _gcd(c, d)
-    if len(g) <= 1:
-        return [(c, 1)] if len(c) > 1 else []
-    b, _ = _divmod(c, g)
-    cc, _ = _divmod(d, g)
-    diff = _sub(cc, _derivative(b))
-    out = []
-    i = 1
-    while len(b) > 1:
-        a = _gcd(b, diff) if diff else _monic(list(b))
-        if len(a) > 1:
-            out.append((a, i))
-        b, _ = _divmod(b, a)
-        cc, _ = _divmod(diff, a) if diff else ([], None)
-        diff = _sub(cc, _derivative(b))
-        i += 1
-    return out
-
-
-def _distinct_real_roots(c: list[Fraction], lower, upper) -> int:
-    """Distinct real roots of a nonconstant polynomial in (lower, upper],
-    by Sturm sign variations on its square-free part.  The finite bounds
-    must not themselves be roots."""
-    sf = _squarefree_part(c)
-    if len(sf) <= 1:
-        return 0
+def _distinct_real_roots(sf: list[Fraction], lower, upper) -> int:
+    """Distinct real roots of a square-free polynomial in (lower, upper], by
+    Sturm sign variations.  The finite bounds must not themselves be
+    roots."""
     chain = _sturm_chain(sf)
     return _sign_variations(chain, lower) - _sign_variations(chain, upper)
 
@@ -235,27 +209,12 @@ def _distinct_real_roots(c: list[Fraction], lower, upper) -> int:
 def real_root_count(p: IntPolynomial, lower=NEG_INF, upper=POS_INF) -> int:
     """Number of distinct real roots in the interval (lower, upper], exact.
     Defaults to the whole real line."""
-    c = _from_int_poly(p)
-    if not c:
-        raise ValueError("zero polynomial rejected")
-    if len(c) == 1:
-        return 0
-    return _distinct_real_roots(c, lower, upper)
+    return _distinct_real_roots(_squarefree_part(p), lower, upper)
 
 
 def is_real_rooted(p: IntPolynomial) -> bool:
-    """True iff every root is real: the root count with multiplicity (from
-    the square-free decomposition) equals the degree after trimming leading
-    zero coefficients."""
-    c = _from_int_poly(p)
-    if not c:
-        raise ValueError("zero polynomial rejected")
-    effective_degree = len(c) - 1
-    if effective_degree == 0:
-        return True
-    total = 0
-    for factor, mult in _squarefree_decomposition(c):
-        chain = _sturm_chain(factor)
-        distinct = _sign_variations(chain, NEG_INF) - _sign_variations(chain, POS_INF)
-        total += mult * distinct
-    return total == effective_degree
+    """True iff every root is real: the square-free part has as many distinct
+    real roots as its degree.  Leading zero coefficients are trimmed, and a
+    nonzero constant counts as real-rooted."""
+    sf = _squarefree_part(p)
+    return _distinct_real_roots(sf, NEG_INF, POS_INF) == len(sf) - 1

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -172,3 +175,54 @@ class TestDeterminism:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+def run_process(cwd, *argv, cap_env=None):
+    """The CLI in a fresh interpreter, so an uncaught exception would show
+    as a traceback on stderr."""
+    env = dict(os.environ)
+    env.pop("WREATH_CAP", None)
+    if cap_env is not None:
+        env["WREATH_CAP"] = cap_env
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "wreath_eulerian.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=60)
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("argv,cap_env,needle", [
+        (("poly", "--alpha", "2", "--n", "3", "--out",
+          os.path.join("no-such-dir", "sub", "out.txt")), None, "--out"),
+        (("poly", "--alpha", "2", "--n", "3"), "abc", "WREATH_CAP"),
+        (("poly", "--alpha", "2", "--n", "3"), "-5", "WREATH_CAP"),
+        (("poly", "--alpha", "2", "--n", "3", "--cap", "-5"), None, "cap"),
+        (("verify", "symmetry", "--alpha", "2", "--n", "3",
+          "--format", "json"), None, "--format"),
+        (("verify", "involution", "--alpha", "2", "--n", "3",
+          "--format", "csv"), None, "--format"),
+    ])
+    def test_one_line_usage_error(self, tmp_path, argv, cap_env, needle):
+        proc = run_process(tmp_path, *argv, cap_env=cap_env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert needle in lines[0]
+
+    def test_verify_text_format_still_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "involution", "--alpha", "2",
+                           "--n", "3", "--format", "text")
+        assert code == 0
+        assert out.startswith("PASS")
+
+    def test_cap_below_cardinality_still_refused(self, capsys):
+        code, _, err = run(capsys, "poly", "--alpha", "2", "--n", "4",
+                           "--cap", "0")
+        assert code == 3
+        assert "exceeds the cap of 0" in err

@@ -3,9 +3,12 @@ import math
 
 import pytest
 from conftest import stream_distribution
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wreath_eulerian import (
     CapExceededError,
+    ColoredPermutation,
     ValidationError,
     binomial_power,
     classical_eulerian,
@@ -156,6 +159,22 @@ class TestPolynomials:
         par = flag_eulerian_quotient(2, 7, workers=4)
         assert seq == par
 
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.integers(1, 4), n=st.integers(1, 5),
+           statistic=st.sampled_from(["colored-descent", "flag"]),
+           domain=st.sampled_from(["quotient", "full", "fixed"]),
+           beta=st.integers(0, 3))
+    @example(alpha=1, n=1, statistic="flag", domain="full", beta=0)
+    @example(alpha=1, n=5, statistic="colored-descent", domain="quotient", beta=0)
+    @example(alpha=4, n=1, statistic="flag", domain="fixed", beta=2)
+    @example(alpha=3, n=1, statistic="flag", domain="full", beta=0)
+    def test_builder_matches_streaming(self, alpha, n, statistic, domain, beta):
+        beta %= alpha
+        report = stat_report(alpha, n, statistic, domain, beta=beta)
+        streamed = stream_distribution(alpha, n, statistic, domain, beta=beta)
+        assert report.polynomial.coefficients[: len(streamed)] == streamed
+        assert all(c == 0 for c in report.polynomial.coefficients[len(streamed):])
+
     def test_stat_report_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
             stat_report(2, 3, "flag", "nowhere")
@@ -211,6 +230,12 @@ class TestVerifiers:
     def test_coset_invariance(self):
         for alpha, n in [(2, 3), (3, 2), (1, 4)]:
             assert verify_coset_invariance(alpha, n).ok
+
+    def test_coset_invariance_catches_wrong_canonical_rep(self, monkeypatch):
+        monkeypatch.setattr(ColoredPermutation, "canonical_rep", lambda w: w)
+        result = verify_coset_invariance(2, 3)
+        assert not result.ok
+        assert result.counterexample is not None
 
     def test_cap_propagates(self):
         with pytest.raises(CapExceededError):
