@@ -44,8 +44,16 @@ _VERIFY_TARGETS = ("symmetry", "product-identity", "abr-identity",
                    "coset-invariance", "involution")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as one ``error:`` line, like every other usage
+    error, instead of argparse's usage block; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wreath-eulerian",
         description="Descent statistics on colored permutation groups "
                     "and their cyclic-shift quotients.")
@@ -268,6 +276,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         args.cap = resolve_cap(args.cap)
         if args.command == "poly":

@@ -5,16 +5,16 @@ degree is explicit (trailing zeros below it are kept), because palindromicity
 of a descent polynomial must be tested against the statistic's maximum even
 if a leading coefficient were zero.
 
-Real-rootedness is decided exactly by Sturm chains over rational arithmetic
-on the square-free part: a polynomial and its square-free part have the same
-roots as a set, so the polynomial is real-rooted iff the square-free part has
-as many distinct real roots as its degree.  No floating point anywhere.
+Real-rootedness is decided exactly by one integer Sturm chain of the
+polynomial p itself.  Its last entry is gcd(p, p') up to a constant, and
+the square-free part of p has the same roots as a set and degree
+deg p - deg gcd(p, p'), so p is real-rooted iff the chain counts that many
+distinct real roots.  No floating point anywhere.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 #: Sentinels for unbounded interval ends in root counting.
 NEG_INF = object()
@@ -99,122 +99,98 @@ def is_unimodal(p: IntPolynomial) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational polynomial helpers (little-endian Fraction lists, trimmed so
-# the last entry is nonzero; [] is the zero polynomial).
+# Integer polynomial helpers (little-endian int lists, trimmed so the last
+# entry is nonzero; [] is the zero polynomial).
 
-def _trim(c: list[Fraction]) -> list[Fraction]:
+def _trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _from_int_poly(p: IntPolynomial) -> list[Fraction]:
-    return _trim([Fraction(c) for c in p.coefficients])
-
-
-def _derivative(c: list[Fraction]) -> list[Fraction]:
+def _derivative(c: list[int]) -> list[int]:
     return _trim([i * c[i] for i in range(1, len(c))])
 
 
-def _divmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    lead = b[-1]
-    while len(r) >= len(b):
-        coef = r[-1] / lead
-        shift = len(r) - len(b)
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            r[shift + i] -= coef * bc
-        _trim(r)
-        if not r:
-            break
-    return _trim(q), r
-
-
-def _monic(c: list[Fraction]) -> list[Fraction]:
-    if not c:
-        return c
-    lead = c[-1]
-    return [x / lead for x in c]
-
-
-def _gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _sturm_chain(p: IntPolynomial) -> list[list[int]]:
+    """Sturm chain of p and p' over the integers, leading zero coefficients
+    of p trimmed.  Each later entry is the pseudo-remainder of the two
+    before it, scaled by a power of |lc| of the divisor, then negated and
+    divided by its content: both factors are positive, so every sign of
+    the rational chain is kept, and the content division keeps the
+    coefficients small.  The last entry is gcd(p, p') up to a constant."""
+    chain = [_trim(list(p.coefficients))]
+    if not chain[0]:
+        raise ValueError("zero polynomial rejected")
+    b = _derivative(chain[0])
     while b:
-        _, r = _divmod(a, b)
-        a, b = b, r
-    return _monic(a)
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_at(c: list[Fraction], point) -> int:
-    if not c:
-        return 0
-    if point is POS_INF:
-        return _sign(c[-1])
-    if point is NEG_INF:
-        s = _sign(c[-1])
-        return s if (len(c) - 1) % 2 == 0 else -s
-    value = Fraction(0)
-    for coef in reversed(c):
-        value = value * point + coef
-    return _sign(value)
-
-
-def _sturm_chain(c: list[Fraction]) -> list[list[Fraction]]:
-    chain = [c, _derivative(c)]
-    while chain[-1]:
-        _, r = _divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        # -r scaled to leading coefficient -1 or 1: a positive factor keeps
-        # every sign, and a unit leading coefficient keeps the next
-        # division's quotient coefficients from growing.
-        scale = -1 / abs(r[-1])
-        chain.append([x * scale for x in r])
+        chain.append(b)
+        r = list(chain[-2])
+        lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(r) >= len(b):
+            # lead * r - lc(r) * sign * x^shift * b cancels the top term.
+            factor = r[-1] * sign
+            shift = len(r) - len(b)
+            if lead != 1:
+                r = [lead * x for x in r]
+            for i, bc in enumerate(b):
+                r[shift + i] -= factor * bc
+            _trim(r)
+        content = math.gcd(*r)
+        b = [-x // content for x in r]
     return chain
 
 
-def _sign_variations(chain: list[list[Fraction]], point) -> int:
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b that divides a over the rationals; by
+    Gauss's lemma the quotient has integer coefficients."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        coef = r[shift + len(b) - 1] // b[-1]
+        q[shift] = coef
+        for i, bc in enumerate(b):
+            r[shift + i] -= coef * bc
+    return q
+
+
+def _sign_at(c: list[int], point) -> int:
+    if point is POS_INF:
+        value = c[-1]
+    elif point is NEG_INF:
+        value = c[-1] if len(c) % 2 else -c[-1]
+    else:
+        value = 0
+        for coef in reversed(c):
+            value = value * point + coef
+    return (value > 0) - (value < 0)
+
+
+def _sign_variations(chain: list[list[int]], point) -> int:
     signs = [s for s in (_sign_at(c, point) for c in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _squarefree_part(p: IntPolynomial) -> list[Fraction]:
-    """Monic square-free part of a nonzero polynomial, leading zero
-    coefficients trimmed; [1] for a constant."""
-    c = _from_int_poly(p)
-    if not c:
-        raise ValueError("zero polynomial rejected")
-    g = _gcd(c, _derivative(c))
-    if len(g) <= 1:
-        return _monic(c)
-    q, _ = _divmod(c, g)
-    return _monic(q)
-
-
-def _distinct_real_roots(sf: list[Fraction], lower, upper) -> int:
-    """Distinct real roots of a square-free polynomial in (lower, upper], by
-    Sturm sign variations.  The finite bounds must not themselves be
-    roots."""
-    chain = _sturm_chain(sf)
+def real_root_count(p: IntPolynomial, lower=NEG_INF, upper=POS_INF) -> int:
+    """Number of distinct real roots in the interval (lower, upper], exact.
+    Defaults to the whole real line.  Every chain entry is divided by the
+    primitive gcd(p, p'), which gives the square-free part's chain, so a
+    finite bound may itself be a repeated root."""
+    chain = _sturm_chain(p)
+    g = chain[-1]
+    if len(g) > 1:
+        content = math.gcd(*g)
+        g = [x // content for x in g]
+        chain = [_exact_quotient(c, g) for c in chain]
     return _sign_variations(chain, lower) - _sign_variations(chain, upper)
 
 
-def real_root_count(p: IntPolynomial, lower=NEG_INF, upper=POS_INF) -> int:
-    """Number of distinct real roots in the interval (lower, upper], exact.
-    Defaults to the whole real line."""
-    return _distinct_real_roots(_squarefree_part(p), lower, upper)
-
-
 def is_real_rooted(p: IntPolynomial) -> bool:
-    """True iff every root is real: the square-free part has as many distinct
-    real roots as its degree.  Leading zero coefficients are trimmed, and a
-    nonzero constant counts as real-rooted."""
-    sf = _squarefree_part(p)
-    return _distinct_real_roots(sf, NEG_INF, POS_INF) == len(sf) - 1
+    """True iff every root is real: p has deg p - deg gcd(p, p') distinct
+    roots, its square-free part's degree, and the Sturm chain counts how
+    many are real.  Leading zero coefficients are trimmed, and a nonzero
+    constant counts as real-rooted."""
+    chain = _sturm_chain(p)
+    real = (_sign_variations(chain, NEG_INF)
+            - _sign_variations(chain, POS_INF))
+    return real == len(chain[0]) - len(chain[-1])

@@ -204,6 +204,9 @@ class TestFailurePaths:
           "--format", "json"), None, "--format"),
         (("verify", "involution", "--alpha", "2", "--n", "3",
           "--format", "csv"), None, "--format"),
+        (("poly", "--alpha", "2", "--n", "3", "--cap", "abc"), None, "--cap"),
+        (("poly", "--alpha", "x", "--n", "3"), None, "--alpha"),
+        ((), None, "command"),
     ])
     def test_one_line_usage_error(self, tmp_path, argv, cap_env, needle):
         proc = run_process(tmp_path, *argv, cap_env=cap_env)

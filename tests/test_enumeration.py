@@ -108,6 +108,12 @@ class TestPolynomials:
             assert flag_eulerian_quotient(1, n).polynomial.coefficients == \
                 classical_eulerian(n).coefficients
 
+    def test_flag_quotient_alpha_one_is_eulerian_at_scale(self):
+        cap = quotient_cardinality(1, 30)
+        for n in range(1, 31):
+            assert flag_eulerian_quotient(1, n, cap=cap).polynomial \
+                .coefficients == classical_eulerian(n).coefficients
+
     def test_flag_quotient_cardinality(self):
         assert flag_eulerian_quotient(3, 2).cardinality == 6
 
@@ -225,6 +231,20 @@ class TestVerifiers:
 
     def test_abr_identity(self):
         results = verify_abr_identity(5)
+        assert all(r.ok for r in results)
+
+    def test_product_identity_at_scale(self):
+        # Degree up to 60; each lhs is real-rooted because the rhs is.
+        cap = quotient_cardinality(2, 31)
+        results = verify_product_identity(15, cap=cap)
+        assert len(results) == 15
+        assert all(r.ok for r in results)
+        for k in range(1, 16):
+            assert flag_eulerian_quotient(2, 2 * k + 1, cap=cap).real_rooted
+
+    def test_abr_identity_at_scale(self):
+        results = verify_abr_identity(30, cap=full_cardinality(2, 30))
+        assert len(results) == 30
         assert all(r.ok for r in results)
 
     def test_coset_invariance(self):

@@ -14,6 +14,19 @@ from wreath_eulerian import (
 )
 from wreath_eulerian.poly import POS_INF
 
+
+@st.composite
+def known_roots(draw):
+    """(p, roots): p = c * prod (x - r)^m over distinct small integer roots
+    r with multiplicities m in 1..3."""
+    roots = draw(st.lists(st.integers(-6, 6), max_size=4, unique=True))
+    p = IntPolynomial((draw(st.sampled_from([-3, -1, 1, 2, 5])),))
+    for r in roots:
+        for _ in range(draw(st.integers(1, 3))):
+            p = p * IntPolynomial((-r, 1))
+    return p, roots
+
+
 small_polys = st.builds(
     IntPolynomial,
     st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(tuple))
@@ -193,3 +206,17 @@ class TestRealRootedness:
     def test_agrees_with_bisection(self, coeffs):
         assert real_root_count(IntPolynomial(coeffs)) == \
             grid_root_count(coeffs)
+
+    @given(known_roots(), st.data(), st.integers(1, 9))
+    def test_polynomials_from_known_roots(self, case, data, k):
+        p, roots = case
+        assert is_real_rooted(p)
+        assert real_root_count(p) == len(roots)
+        # Bounds at the (possibly repeated) roots and between them.
+        points = [Fraction(r) for r in roots] + [
+            Fraction(2 * r + 1, 2) for r in range(-7, 7)]
+        lo, hi = sorted(data.draw(st.lists(st.sampled_from(points),
+                                           min_size=2, max_size=2)))
+        assert real_root_count(p, lo, hi) == \
+            sum(1 for r in roots if lo < r <= hi)
+        assert not is_real_rooted(p * IntPolynomial((k, 0, 1)))
