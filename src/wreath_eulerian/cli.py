@@ -102,13 +102,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_positive(name: str, value: int) -> None:
+def _require_positive(name: str, value: int | None) -> None:
     if value is None or value < 1:
         raise ValidationError(f"{name} must be >= 1")
 
 
 def _coeff_strings(report: StatReport) -> list[str]:
     return [str(c) for c in report.polynomial.coefficients]
+
+
+def _shape_fields(report: StatReport) -> dict[str, str]:
+    """The report fields that ``poly`` text, ``report`` text and ``report``
+    CSV render, in their output order; reads each shape verdict once."""
+    return {
+        "alpha": str(report.alpha),
+        "n": str(report.n),
+        "degree": str(report.polynomial.nominal_degree),
+        "cardinality": str(report.cardinality),
+        "palindromic": str(report.palindromic).lower(),
+        "unimodal": str(report.unimodal).lower(),
+        "real_rooted": str(report.real_rooted).lower(),
+    }
+
+
+def _csv(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _report_payload(command: str, report: StatReport, stat: str) -> dict:
@@ -147,21 +169,13 @@ def _run_poly(args) -> int:
     if args.format == "json":
         text = json.dumps(_report_payload("poly", report, args.stat)) + "\n"
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "coefficient"])
-        for k, c in enumerate(report.polynomial.coefficients):
-            writer.writerow([k, str(c)])
-        text = buf.getvalue()
+        text = _csv(["k", "coefficient"],
+                    enumerate(report.polynomial.coefficients))
     else:
-        lines = [
-            "coefficients: " + " ".join(_coeff_strings(report)),
-            f"degree: {report.polynomial.nominal_degree}",
-            f"cardinality: {report.cardinality}",
-            f"palindromic: {str(report.palindromic).lower()}",
-            f"unimodal: {str(report.unimodal).lower()}",
-            f"real_rooted: {str(report.real_rooted).lower()}",
-        ]
+        fields = _shape_fields(report)
+        del fields["alpha"], fields["n"]
+        lines = ["coefficients: " + " ".join(_coeff_strings(report))]
+        lines += [f"{key}: {value}" for key, value in fields.items()]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return EXIT_OK
@@ -183,11 +197,7 @@ def _run_table(args) -> int:
         }
         text = json.dumps(payload) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "k", "count"])
-        writer.writerows(triples)
-        text = buf.getvalue()
+        text = _csv(["n", "k", "count"], triples)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -231,11 +241,8 @@ def _run_verify(args) -> int:
 def _run_report(args) -> int:
     _require_positive("alpha", args.alpha)
     _require_positive("max-n", args.max_n)
-    rows = []
-    for n in range(1, args.max_n + 1):
-        report = stat_report(args.alpha, n, STAT_FLAG, "quotient",
-                             cap=args.cap)
-        rows.append(report)
+    rows = [stat_report(args.alpha, n, STAT_FLAG, "quotient", cap=args.cap)
+            for n in range(1, args.max_n + 1)]
     if args.format == "json":
         payload = {
             "command": "report",
@@ -244,28 +251,14 @@ def _run_report(args) -> int:
             "rows": [_report_payload("report", r, "flag") for r in rows],
         }
         text = json.dumps(payload) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["alpha", "n", "degree", "cardinality",
-                         "palindromic", "unimodal", "real_rooted"])
-        for r in rows:
-            writer.writerow([r.alpha, r.n, r.polynomial.nominal_degree,
-                             str(r.cardinality),
-                             str(r.palindromic).lower(),
-                             str(r.unimodal).lower(),
-                             str(r.real_rooted).lower()])
-        text = buf.getvalue()
     else:
-        lines = []
-        for r in rows:
-            lines.append(
-                f"alpha={r.alpha} n={r.n} degree={r.polynomial.nominal_degree} "
-                f"cardinality={r.cardinality} "
-                f"palindromic={str(r.palindromic).lower()} "
-                f"unimodal={str(r.unimodal).lower()} "
-                f"real_rooted={str(r.real_rooted).lower()}")
-        text = "\n".join(lines) + "\n"
+        fields = [_shape_fields(r) for r in rows]
+        if args.format == "csv":
+            text = _csv(list(fields[0]), (f.values() for f in fields))
+        else:
+            lines = [" ".join(f"{key}={value}" for key, value in f.items())
+                     for f in fields]
+            text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return EXIT_OK
 
@@ -291,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,6 +16,10 @@ Two computation routes coexist on purpose:
   per-element statistics, and the test suite checks the two routes against
   each other.
 
+The builders return a :class:`StatReport` holding the polynomial; its
+cardinality and shape verdicts are computed when read, so the table and the
+identity verifiers, which only compare coefficients, never run a Sturm chain.
+
 The builders' ``workers`` argument is accepted for compatibility; it changes
 neither the result nor the parallelism, since every computation runs in the
 calling thread.
@@ -91,17 +95,31 @@ def full_cardinality(alpha: int, n: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class StatReport:
-    """One statistic's distribution over one domain, with shape verdicts."""
+    """One statistic's distribution over one domain.  The cardinality and
+    the shape verdicts are computed from the polynomial each time they are
+    read, so a caller that only wants the coefficients pays for none."""
 
     alpha: int
     n: int
     statistic: str
     domain: str
     polynomial: IntPolynomial
-    cardinality: int
-    palindromic: bool
-    unimodal: bool
-    real_rooted: bool
+
+    @property
+    def cardinality(self) -> int:
+        return self.polynomial.evaluate(1)
+
+    @property
+    def palindromic(self) -> bool:
+        return is_palindromic(self.polynomial)
+
+    @property
+    def unimodal(self) -> bool:
+        return is_unimodal(self.polynomial)
+
+    @property
+    def real_rooted(self) -> bool:
+        return is_real_rooted(self.polynomial)
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,54 +230,11 @@ def _distribution(alpha: int, n: int, statistic: str, beta: int | None,
     return vsum(zero, *(vsum(*states[c]) for c in colors))
 
 
-def _report(alpha: int, n: int, statistic: str, domain: str,
-            coeffs: list[int]) -> StatReport:
-    polynomial = IntPolynomial(tuple(coeffs))
-    return StatReport(
-        alpha=alpha,
-        n=n,
-        statistic=statistic,
-        domain=domain,
-        polynomial=polynomial,
-        cardinality=polynomial.evaluate(1),
-        palindromic=is_palindromic(polynomial),
-        unimodal=is_unimodal(polynomial),
-        real_rooted=is_real_rooted(polynomial),
-    )
-
-
-def colored_eulerian(alpha: int, n: int, cap: int | None = None,
-                     workers: int = 1) -> StatReport:
-    """Generating polynomial of colored descents over the quotient (one
-    representative per coset, last color 0)."""
-    _check_parameters(alpha, n)
-    coeffs = _distribution(alpha, n, STAT_DESCENT, 0, cap)
-    return _report(alpha, n, STAT_DESCENT, "quotient", coeffs)
-
-
-def flag_eulerian_quotient(alpha: int, n: int, cap: int | None = None,
-                           workers: int = 1) -> StatReport:
-    """Flag Eulerian polynomial over the quotient, nominal degree
-    alpha*(n-1)."""
-    _check_parameters(alpha, n)
-    coeffs = _distribution(alpha, n, STAT_FLAG, 0, cap)
-    return _report(alpha, n, STAT_FLAG, "quotient", coeffs)
-
-
-def flag_eulerian_full(alpha: int, n: int, cap: int | None = None,
-                       workers: int = 1) -> StatReport:
-    """Flag Eulerian polynomial over the whole group, nominal degree
-    alpha*n - 1."""
-    _check_parameters(alpha, n)
-    coeffs = _distribution(alpha, n, STAT_FLAG, None, cap)
-    return _report(alpha, n, STAT_FLAG, "full", coeffs)
-
-
-def stat_report(alpha: int, n: int, statistic: str, domain: str,
-                beta: int = 0, cap: int | None = None,
-                workers: int = 1) -> StatReport:
-    """General entry point: statistic in {colored-descent, flag}, domain in
-    {quotient, full, fixed} (fixed takes the last color beta)."""
+def _build(alpha: int, n: int, statistic: str, domain: str,
+           beta: int, cap: int | None) -> StatReport:
+    """The route every report builder takes: check the arguments, map the
+    domain to its fixed last color (None for the full group) and label, and
+    count."""
     _check_parameters(alpha, n)
     if statistic not in (STAT_DESCENT, STAT_FLAG):
         raise ValidationError(f"unknown statistic {statistic!r}")
@@ -277,7 +252,36 @@ def stat_report(alpha: int, n: int, statistic: str, domain: str,
     else:
         raise ValidationError(f"unknown domain {domain!r}")
     coeffs = _distribution(alpha, n, statistic, fixed, cap)
-    return _report(alpha, n, statistic, label, coeffs)
+    return StatReport(alpha, n, statistic, label, IntPolynomial(tuple(coeffs)))
+
+
+def colored_eulerian(alpha: int, n: int, cap: int | None = None,
+                     workers: int = 1) -> StatReport:
+    """Generating polynomial of colored descents over the quotient (one
+    representative per coset, last color 0)."""
+    return _build(alpha, n, STAT_DESCENT, "quotient", 0, cap)
+
+
+def flag_eulerian_quotient(alpha: int, n: int, cap: int | None = None,
+                           workers: int = 1) -> StatReport:
+    """Flag Eulerian polynomial over the quotient, nominal degree
+    alpha*(n-1)."""
+    return _build(alpha, n, STAT_FLAG, "quotient", 0, cap)
+
+
+def flag_eulerian_full(alpha: int, n: int, cap: int | None = None,
+                       workers: int = 1) -> StatReport:
+    """Flag Eulerian polynomial over the whole group, nominal degree
+    alpha*n - 1."""
+    return _build(alpha, n, STAT_FLAG, "full", 0, cap)
+
+
+def stat_report(alpha: int, n: int, statistic: str, domain: str,
+                beta: int = 0, cap: int | None = None,
+                workers: int = 1) -> StatReport:
+    """General entry point: statistic in {colored-descent, flag}, domain in
+    {quotient, full, fixed} (fixed takes the last color beta)."""
+    return _build(alpha, n, statistic, domain, beta, cap)
 
 
 def classical_eulerian(n: int) -> IntPolynomial:
@@ -295,8 +299,6 @@ def classical_eulerian(n: int) -> IntPolynomial:
             if 0 <= k - 1 < len(row):
                 new[k] += (m - k) * row[k - 1]
         row = new
-    while len(row) > 1 and row[-1] == 0:
-        row.pop()
     return IntPolynomial(tuple(row))
 
 

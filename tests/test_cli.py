@@ -165,6 +165,36 @@ class TestReportCommand:
             "alpha,n,degree,cardinality,palindromic,unimodal,real_rooted"
 
 
+class TestExactOutput:
+    """Whole stdout of the text and CSV renderings, field order included."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("report", "--alpha", "2", "--max-n", "3"),
+         "alpha=2 n=1 degree=0 cardinality=1 palindromic=true unimodal=true real_rooted=true\n"
+         "alpha=2 n=2 degree=2 cardinality=4 palindromic=true unimodal=true real_rooted=true\n"
+         "alpha=2 n=3 degree=4 cardinality=24 palindromic=true unimodal=true real_rooted=true\n"),
+        (("report", "--alpha", "3", "--max-n", "3"),
+         "alpha=3 n=1 degree=0 cardinality=1 palindromic=true unimodal=true real_rooted=true\n"
+         "alpha=3 n=2 degree=3 cardinality=6 palindromic=true unimodal=true real_rooted=false\n"
+         "alpha=3 n=3 degree=6 cardinality=54 palindromic=true unimodal=true real_rooted=false\n"),
+        (("report", "--alpha", "2", "--max-n", "3", "--format", "csv"),
+         "alpha,n,degree,cardinality,palindromic,unimodal,real_rooted\n"
+         "2,1,0,1,true,true,true\n"
+         "2,2,2,4,true,true,true\n"
+         "2,3,4,24,true,true,true\n"),
+        (("poly", "--alpha", "2", "--n", "3"),
+         "coefficients: 1 6 10 6 1\n"
+         "degree: 4\n"
+         "cardinality: 24\n"
+         "palindromic: true\n"
+         "unimodal: true\n"
+         "real_rooted: true\n"),
+    ], ids=["report-text", "report-text-mixed", "report-csv", "poly-text"])
+    def test_stdout_bytes(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, expected, "")
+
+
 class TestDeterminism:
     def test_thread_count_does_not_change_output(self, capsys):
         outputs = []

@@ -6,6 +6,7 @@ from conftest import stream_distribution
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wreath_eulerian import enumeration
 from wreath_eulerian import (
     CapExceededError,
     ColoredPermutation,
@@ -17,6 +18,9 @@ from wreath_eulerian import (
     flag_eulerian_quotient,
     flag_table,
     full_cardinality,
+    is_palindromic,
+    is_real_rooted,
+    is_unimodal,
     iterate_fixed_last_color,
     iterate_full_group,
     iterate_quotient_reps,
@@ -260,3 +264,25 @@ class TestVerifiers:
     def test_cap_propagates(self):
         with pytest.raises(CapExceededError):
             verify_symmetry(2, 9, cap=100)
+
+    def test_verdicts_are_computed_when_read(self, monkeypatch):
+        # The table and the identity verifiers compare coefficients only,
+        # so none of them may run a Sturm chain.
+        def refuse(polynomial):
+            raise AssertionError("is_real_rooted called")
+
+        monkeypatch.setattr(enumeration, "is_real_rooted", refuse)
+        assert len(flag_table(2, 6)) == 6
+        assert all(r.ok for r in verify_product_identity(3))
+        assert all(r.ok for r in verify_abr_identity(5))
+        assert verify_symmetry(2, 3).ok
+        assert verify_coset_invariance(2, 3).ok
+        monkeypatch.undo()
+        for statistic in ("colored-descent", "flag"):
+            for domain in ("quotient", "full", "fixed"):
+                report = stat_report(3, 3, statistic, domain, beta=2)
+                p = report.polynomial
+                assert report.cardinality == p.evaluate(1)
+                assert report.palindromic == is_palindromic(p)
+                assert report.unimodal == is_unimodal(p)
+                assert report.real_rooted == is_real_rooted(p)
