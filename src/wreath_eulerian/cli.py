@@ -149,6 +149,11 @@ def _report_payload(command: str, report: StatReport, stat: str) -> dict:
     }
 
 
+def _sweep_json(args, rows: list[dict]) -> str:
+    return json.dumps({"command": args.command, "alpha": args.alpha,
+                       "max_n": args.max_n, "rows": rows}) + "\n"
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -189,13 +194,8 @@ def _run_table(args) -> int:
                for n, row in enumerate(rows, start=1)
                for k, c in enumerate(row.coefficients)]
     if args.format == "json":
-        payload = {
-            "command": "table",
-            "alpha": args.alpha,
-            "max_n": args.max_n,
-            "rows": [{"n": n, "k": k, "count": c} for n, k, c in triples],
-        }
-        text = json.dumps(payload) + "\n"
+        text = _sweep_json(
+            args, [{"n": n, "k": k, "count": c} for n, k, c in triples])
     else:
         text = _csv(["n", "k", "count"], triples)
     _emit(text, args.out)
@@ -241,16 +241,12 @@ def _run_verify(args) -> int:
 def _run_report(args) -> int:
     _require_positive("alpha", args.alpha)
     _require_positive("max-n", args.max_n)
-    rows = [stat_report(args.alpha, n, STAT_FLAG, "quotient", cap=args.cap)
-            for n in range(1, args.max_n + 1)]
+    table = flag_table(args.alpha, args.max_n, cap=args.cap)
+    rows = [StatReport(args.alpha, n, STAT_FLAG, "quotient", polynomial)
+            for n, polynomial in enumerate(table, start=1)]
     if args.format == "json":
-        payload = {
-            "command": "report",
-            "alpha": args.alpha,
-            "max_n": args.max_n,
-            "rows": [_report_payload("report", r, "flag") for r in rows],
-        }
-        text = json.dumps(payload) + "\n"
+        text = _sweep_json(
+            args, [_report_payload("report", r, "flag") for r in rows])
     else:
         fields = [_shape_fields(r) for r in rows]
         if args.format == "csv":

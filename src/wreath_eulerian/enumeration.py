@@ -16,9 +16,10 @@ Two computation routes coexist on purpose:
   per-element statistics, and the test suite checks the two routes against
   each other.
 
-The builders return a :class:`StatReport` holding the polynomial; its
-cardinality and shape verdicts are computed when read, so the table and the
-identity verifiers, which only compare coefficients, never run a Sturm chain.
+One pass serves a whole sweep over n, since after n entries its states hold
+row n: the table and the identity verifiers read every row from it, refused
+up front on the largest domain.  A :class:`StatReport` computes its
+cardinality and shape verdicts when read, so a sweep never runs a Sturm chain.
 
 The builders' ``workers`` argument is accepted for compatibility; it changes
 neither the result nor the parallelism, since every computation runs in the
@@ -179,39 +180,46 @@ def _nominal_degree(alpha: int, n: int, statistic: str, beta: int | None) -> int
     return alpha * (n - 1) + beta
 
 
-def _distribution(alpha: int, n: int, statistic: str, beta: int | None,
-                  cap: int | None) -> list[int]:
-    """Coefficient vector of the statistic's generating polynomial over the
-    domain (beta=None means the full group, otherwise fixed last color).
+def _rows(alpha: int, n_max: int, statistic: str, beta: int | None,
+          cap: int | None) -> Iterator[IntPolynomial]:
+    """The statistic's polynomial over the domain (beta=None means the full
+    group, otherwise fixed last color) for each n = 1..n_max, from one pass
+    that the cap refuses up front on the largest domain.
 
-    Entries are placed left to right.  After i entries the state is (c, r):
-    the last entry's color c and its rank r among the first i window values;
+    Entries are placed left to right.  After n entries the state is (c, r):
+    the last entry's color c and its rank r among the first n window values;
     each state carries the coefficient vector of the statistic over those
-    prefixes.  A next entry of rank k among i + 1 values lies below the
-    previous entry of rank j iff j >= k, so prefix sums over j give each
-    step in O(alpha * i) vector sums.
+    prefixes, and the domain's last colors sum to row n.  A next entry of
+    rank k among n + 1 values lies below the previous entry of rank j iff
+    j >= k, so prefix sums over j give each step in O(alpha * n) vector sums.
     """
-    _guard(full_cardinality(alpha, n) if beta is None
-           else quotient_cardinality(alpha, n), cap)
-    size = _nominal_degree(alpha, n, statistic, beta) + 1
+    _guard(full_cardinality(alpha, n_max) if beta is None
+           else quotient_cardinality(alpha, n_max), cap)
+    size = _nominal_degree(alpha, n_max, statistic, beta) + 1
     flag = statistic == STAT_FLAG
     step = alpha if flag else 1
 
     def shifted(vec: list[int], by: int) -> list[int]:
-        # Values past the nominal degree are dropped: both statistics only
-        # grow along a prefix, so such a prefix never completes to an
-        # element of the domain.  The else branch keeps the length when the
-        # shift passes the end (a flag seed c > beta at n = 1).
-        return [0] * by + vec[:size - by] if by < size else [0] * size
+        # Values past the largest nominal degree are dropped: both statistics
+        # grow along a prefix, so such a prefix never completes to an element
+        # of any row's domain.  Steps run only when n_max >= 2, so by < size.
+        return [0] * by + vec[:size - by]
 
     def vsum(*vecs: list[int]) -> list[int]:
         return [sum(col) for col in zip(*vecs)]
 
     zero = [0] * size
-    # states[c][r]; the first color seeds the flag value.
-    states = [[shifted([1] + zero[1:], c if flag else 0)] for c in range(alpha)]
-    for _ in range(n - 1):
+    # states[c][r]; the first color seeds the flag value (a seed past the
+    # end, c > beta at n_max = 1, stays all zero).
+    states = [[[int(k == (c if flag else 0)) for k in range(size)]]
+              for c in range(alpha)]
+    for n in range(1, n_max + 1):
         totals = [vsum(*column) for column in states]
+        # Row n has nothing past its own nominal degree: the cut drops zeros.
+        row = vsum(*totals) if beta is None else totals[beta]
+        yield IntPolynomial(row[:_nominal_degree(alpha, n, statistic, beta) + 1])
+        if n == n_max:
+            return
         new_states = []
         for d in range(alpha):
             # From another color: flag adds alpha on a color ascent,
@@ -226,15 +234,13 @@ def _distribution(alpha: int, n: int, statistic: str, beta: int | None,
                      shifted([t - x for t, x in zip(totals[d], below)], step))
                 for below in itertools.accumulate(states[d], vsum, initial=zero)])
         states = new_states
-    colors = range(alpha) if beta is None else (beta,)
-    return vsum(zero, *(vsum(*states[c]) for c in colors))
 
 
 def _build(alpha: int, n: int, statistic: str, domain: str,
            beta: int, cap: int | None) -> StatReport:
     """The route every report builder takes: check the arguments, map the
     domain to its fixed last color (None for the full group) and label, and
-    count."""
+    count: the last row of a pass to n."""
     _check_parameters(alpha, n)
     if statistic not in (STAT_DESCENT, STAT_FLAG):
         raise ValidationError(f"unknown statistic {statistic!r}")
@@ -251,8 +257,8 @@ def _build(alpha: int, n: int, statistic: str, domain: str,
         label = f"fixed:{beta}"
     else:
         raise ValidationError(f"unknown domain {domain!r}")
-    coeffs = _distribution(alpha, n, statistic, fixed, cap)
-    return StatReport(alpha, n, statistic, label, IntPolynomial(tuple(coeffs)))
+    *_, polynomial = _rows(alpha, n, statistic, fixed, cap)
+    return StatReport(alpha, n, statistic, label, polynomial)
 
 
 def colored_eulerian(alpha: int, n: int, cap: int | None = None,
@@ -305,11 +311,12 @@ def classical_eulerian(n: int) -> IntPolynomial:
 def flag_table(alpha: int, n_max: int, cap: int | None = None,
                workers: int = 1) -> list[IntPolynomial]:
     """Rows n = 1..n_max of flag-statistic counts over the quotient; row n
-    has columns k = 0..alpha*(n-1)."""
+    has columns k = 0..alpha*(n-1).  One transfer-matrix pass gives every
+    row, so the cap refuses the sweep on its largest domain, n = n_max."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    return [flag_eulerian_quotient(alpha, n, cap=cap).polynomial
-            for n in range(1, n_max + 1)]
+    _check_parameters(alpha, n_max)
+    return list(_rows(alpha, n_max, STAT_FLAG, 0, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -340,35 +347,32 @@ def verify_involution(alpha: int, n: int, cap: int | None = None) -> Verificatio
     return Verification(True, f"reversal is an involution on {total} elements")
 
 
+def _against_eulerian(lhs: IntPolynomial, power: int, n: int,
+                      subject: str) -> Verification:
+    """Compare lhs with (1+x)^power * A_n from the triangle recurrence."""
+    rhs = binomial_power(power) * classical_eulerian(n)
+    ok = lhs.coefficients == rhs.coefficients
+    return Verification(
+        ok, f"{subject} {'matches' if ok else 'differs from'} (1+x)^{power} * A_{n}")
+
+
 def verify_product_identity(k_max: int, cap: int | None = None) -> list[Verification]:
     """Flag polynomial over the 2-colored quotient at n = 2k+1 equals
-    (1+x)^(2k) times the classical Eulerian polynomial, per k = 1..k_max."""
-    out = []
-    for k in range(1, k_max + 1):
-        n = 2 * k + 1
-        lhs = flag_eulerian_quotient(2, n, cap=cap).polynomial
-        rhs = binomial_power(2 * k) * classical_eulerian(n)
-        ok = lhs.coefficients == rhs.coefficients
-        out.append(Verification(
-            ok,
-            f"k={k}: 2-colored quotient flag polynomial at n={n} "
-            f"{'matches' if ok else 'differs from'} (1+x)^{2 * k} * A_{n}"))
-    return out
+    (1+x)^(2k) times the classical Eulerian polynomial, per k = 1..k_max:
+    the odd rows n >= 3 of one pass to n = 2*k_max + 1."""
+    rows = _rows(2, 2 * k_max + 1, STAT_FLAG, 0, cap) if k_max > 0 else ()
+    return [_against_eulerian(lhs, n - 1, n, f"k={n // 2}: 2-colored quotient "
+                                             f"flag polynomial at n={n}")
+            for n, lhs in enumerate(rows, start=1) if n > 1 and n % 2]
 
 
 def verify_abr_identity(n_max: int, cap: int | None = None) -> list[Verification]:
     """Flag polynomial over the full 2-colored group equals (1+x)^n times
-    the classical Eulerian polynomial, per n = 1..n_max."""
-    out = []
-    for n in range(1, n_max + 1):
-        lhs = flag_eulerian_full(2, n, cap=cap).polynomial
-        rhs = binomial_power(n) * classical_eulerian(n)
-        ok = lhs.coefficients == rhs.coefficients
-        out.append(Verification(
-            ok,
-            f"n={n}: full 2-colored flag polynomial "
-            f"{'matches' if ok else 'differs from'} (1+x)^{n} * A_{n}"))
-    return out
+    the classical Eulerian polynomial, per n = 1..n_max: the rows of one
+    pass to n_max."""
+    rows = _rows(2, n_max, STAT_FLAG, None, cap) if n_max > 0 else ()
+    return [_against_eulerian(lhs, n, n, f"n={n}: full 2-colored flag polynomial")
+            for n, lhs in enumerate(rows, start=1)]
 
 
 def verify_coset_invariance(alpha: int, n: int, cap: int | None = None) -> Verification:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from wreath_eulerian import enumeration
 from wreath_eulerian.cli import main
 
 
@@ -103,6 +104,36 @@ class TestTableCommand:
         code, _, err = run(capsys, "table", "--alpha", "2", "--max-n", "0")
         assert code == 2
         assert "max-n" in err
+
+    def test_refusal_names_the_largest_domain(self, capsys):
+        # One pass to n = 6 is refused on quotient(2, 6) = 23040, not on
+        # the first row over the cap.
+        code, out, err = run(capsys, "table", "--alpha", "2", "--max-n", "6",
+                             "--cap", "100")
+        assert (code, out) == (3, "")
+        assert err == "error: enumeration of 23040 elements exceeds the cap of 100\n"
+
+
+class TestSweepCommands:
+    @pytest.mark.parametrize("argv", [
+        ("table", "--alpha", "2", "--max-n", "6"),
+        ("report", "--alpha", "2", "--max-n", "6"),
+        ("report", "--alpha", "3", "--max-n", "4", "--format", "json"),
+        ("verify", "abr-identity", "--max-n", "5"),
+        ("verify", "product-identity", "--max-k", "3"),
+    ])
+    def test_one_transfer_matrix_pass(self, capsys, monkeypatch, argv):
+        calls = []
+        rows = enumeration._rows
+
+        def counted(*args):
+            calls.append(args)
+            return rows(*args)
+
+        monkeypatch.setattr(enumeration, "_rows", counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestVerifyCommand:

@@ -216,6 +216,63 @@ class TestFlagTable:
         with pytest.raises(ValidationError):
             flag_table(2, 0)
 
+    def test_alpha_checked_before_the_pass(self):
+        with pytest.raises(ValidationError):
+            flag_table(0, 3)
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+    def test_rows_match_streaming(self, alpha):
+        # Each row is cut to its own nominal degree from one pass sized for
+        # n_max; the element streams are the independent reference.
+        for n, row in enumerate(flag_table(alpha, 5), start=1):
+            assert row.coefficients == \
+                stream_distribution(alpha, n, "flag", "quotient")
+            assert row.nominal_degree == alpha * (n - 1)
+
+
+class TestSweeps:
+    """A sweep over n reads every row from one transfer-matrix pass, and the
+    cap refuses it on its largest domain."""
+
+    def test_one_pass_per_sweep(self, monkeypatch):
+        calls = []
+        rows = enumeration._rows
+
+        def counted(*args):
+            calls.append(args[:2])
+            return rows(*args)
+
+        monkeypatch.setattr(enumeration, "_rows", counted)
+        assert len(flag_table(2, 6)) == 6
+        assert calls == [(2, 6)]
+        assert len(verify_abr_identity(5)) == 5
+        assert calls[1:] == [(2, 5)]
+        assert len(verify_product_identity(3)) == 3
+        assert calls[2:] == [(2, 7)]
+        assert flag_eulerian_quotient(2, 4).cardinality == 192
+        assert calls[3:] == [(2, 4)]
+
+    def test_empty_sweeps(self):
+        assert verify_abr_identity(0) == []
+        assert verify_product_identity(0) == []
+        assert verify_abr_identity(-1) == []
+        assert verify_product_identity(-1) == []
+        assert verify_abr_identity(0, cap=0) == []
+        assert verify_product_identity(0, cap=0) == []
+
+    @pytest.mark.parametrize("sweep,required", [
+        (lambda cap: flag_table(2, 9, cap=cap), quotient_cardinality(2, 9)),
+        (lambda cap: verify_abr_identity(9, cap=cap), full_cardinality(2, 9)),
+        (lambda cap: verify_product_identity(4, cap=cap),
+         quotient_cardinality(2, 9)),
+    ], ids=["table", "abr", "product"])
+    def test_refusal_names_the_largest_domain(self, sweep, required):
+        for cap in (required - 1, 100):
+            with pytest.raises(CapExceededError) as exc:
+                sweep(cap)
+            assert (exc.value.required, exc.value.cap) == (required, cap)
+        assert sweep(required)
+
 
 class TestVerifiers:
     def test_symmetry(self):
