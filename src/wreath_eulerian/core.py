@@ -6,6 +6,12 @@ taken mod alpha.  The subgroup of constant color shifts (generated by the
 identity permutation with all colors 1) is never materialized; coset logic
 goes through :meth:`ColoredPermutation.canonical_rep` and
 :meth:`ColoredPermutation.same_coset`.
+
+Public construction is always checked: :func:`validate`, :func:`parse`, a
+direct ``ColoredPermutation(...)``, the group product and the inverse.  The
+private ``ColoredPermutation._trusted`` skips the check and is only for
+tuples derived from elements that are already valid, as in the element
+streams, the reversal map and canonical representatives.
 """
 from __future__ import annotations
 
@@ -21,7 +27,9 @@ class ColoredPermutation:
     """An element of Z_alpha wr S_n.
 
     ``window`` is the underlying permutation of {1..n} in one-line notation;
-    ``colors`` assigns each position a color in {0..alpha-1}.
+    ``colors`` assigns each position a color in {0..alpha-1}.  Constructing
+    one checks both; only ``_trusted`` skips that, for tuples derived from
+    elements already known to be valid.
     """
 
     alpha: int
@@ -48,6 +56,18 @@ class ColoredPermutation:
             if not 0 <= c < self.alpha:
                 raise ValidationError(
                     f"color {c} out of range for alpha={self.alpha}")
+
+    @classmethod
+    def _trusted(cls, alpha: int, window: tuple[int, ...],
+                 colors: tuple[int, ...]) -> "ColoredPermutation":
+        """Unchecked construction.  The caller guarantees that ``window`` is
+        a tuple permuting 1..n and ``colors`` a tuple of n colors in
+        0..alpha-1, as when both are derived from a valid element."""
+        w = object.__new__(cls)
+        _set_alpha(w, alpha)
+        _set_window(w, window)
+        _set_colors(w, colors)
+        return w
 
     @property
     def n(self) -> int:
@@ -96,8 +116,8 @@ class ColoredPermutation:
         if shift == 0:
             return self
         a = self.alpha
-        colors = tuple((c - shift) % a for c in self.colors)
-        return ColoredPermutation(a, self.window, colors)
+        colors = tuple([(c - shift) % a for c in self.colors])
+        return ColoredPermutation._trusted(a, self.window, colors)
 
     def same_coset(self, other: "ColoredPermutation") -> bool:
         """True iff the two elements differ by a constant color shift."""
@@ -112,6 +132,13 @@ class ColoredPermutation:
     def is_quotient_rep(self) -> bool:
         """True iff the last color is 0."""
         return self.colors[-1] == 0
+
+
+# A slot's own descriptor sets it past the frozen __setattr__, at half the
+# cost of object.__setattr__.
+_set_alpha = ColoredPermutation.alpha.__set__
+_set_window = ColoredPermutation.window.__set__
+_set_colors = ColoredPermutation.colors.__set__
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,7 +5,9 @@ Two computation routes coexist on purpose:
 
 * the element streams (:func:`iterate_quotient_reps` and friends) yield every
   element in lexicographic order of (window, colors) and are the reference
-  semantics;
+  semantics.  Their windows and colorings are valid by construction, so
+  they build elements without revalidating them, and so do the coset
+  verifier's color shifts;
 * the polynomial builders count by the transfer-matrix method (Stanley,
   *Enumerative Combinatorics I*, section 4.7).  Both the colored descent
   count and the flag statistic add up over adjacent pairs (does the window
@@ -87,10 +89,12 @@ def _guard(count: int, cap: int | None) -> None:
 
 
 def quotient_cardinality(alpha: int, n: int) -> int:
+    _check_parameters(alpha, n)
     return alpha ** (n - 1) * math.factorial(n)
 
 
 def full_cardinality(alpha: int, n: int) -> int:
+    _check_parameters(alpha, n)
     return alpha**n * math.factorial(n)
 
 
@@ -143,9 +147,10 @@ def iterate_fixed_last_color(alpha: int, n: int, beta: int,
     if not 0 <= beta < alpha:
         raise ValidationError(f"beta {beta} out of range for alpha={alpha}")
     _guard(quotient_cardinality(alpha, n), cap)
+    make = ColoredPermutation._trusted
     for window in itertools.permutations(range(1, n + 1)):
         for head in itertools.product(range(alpha), repeat=n - 1):
-            yield ColoredPermutation(alpha, window, head + (beta,))
+            yield make(alpha, window, head + (beta,))
 
 
 def iterate_quotient_reps(alpha: int, n: int,
@@ -159,11 +164,11 @@ def iterate_full_group(alpha: int, n: int,
                        cap: int | None = None) -> Iterator[ColoredPermutation]:
     """Every element of the group, in lexicographic order of
     (window, colors)."""
-    _check_parameters(alpha, n)
     _guard(full_cardinality(alpha, n), cap)
+    make = ColoredPermutation._trusted
     for window in itertools.permutations(range(1, n + 1)):
         for colors in itertools.product(range(alpha), repeat=n):
-            yield ColoredPermutation(alpha, window, colors)
+            yield make(alpha, window, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +386,13 @@ def verify_coset_invariance(alpha: int, n: int, cap: int | None = None) -> Verif
     the representative and keep its descent count, and the descent
     distribution over representatives must match the quotient polynomial.
     One coset is held at a time, so memory does not grow with the group."""
-    _check_parameters(alpha, n)
     _guard(full_cardinality(alpha, n), cap)
     coeffs = [0] * n
     for rep in iterate_quotient_reps(alpha, n, cap=cap):
         count = colored_descent_count(rep)
         for shift in range(1, alpha):
-            w = ColoredPermutation(alpha, rep.window,
-                                   tuple((c + shift) % alpha for c in rep.colors))
+            w = ColoredPermutation._trusted(
+                alpha, rep.window, tuple([(c + shift) % alpha for c in rep.colors]))
             if w.canonical_rep() != rep:
                 return Verification(
                     False, "color shift does not canonicalize to its representative",

@@ -82,8 +82,8 @@ def reversal_map(w: ColoredPermutation) -> ColoredPermutation:
     a = w.alpha
     shift = w.colors[0]
     window = w.window[::-1]
-    colors = tuple((c - shift) % a for c in w.colors[::-1])
-    return ColoredPermutation(a, window, colors)
+    colors = tuple([(c - shift) % a for c in w.colors[::-1]])
+    return ColoredPermutation._trusted(a, window, colors)
 
 
 def delete_equal_color_descent(w: ColoredPermutation, i: int) -> ColoredPermutation:

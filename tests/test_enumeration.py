@@ -6,6 +6,7 @@ from conftest import stream_distribution
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wreath_eulerian
 from wreath_eulerian import enumeration
 from wreath_eulerian import (
     CapExceededError,
@@ -18,14 +19,18 @@ from wreath_eulerian import (
     flag_eulerian_quotient,
     flag_table,
     full_cardinality,
+    identity,
     is_palindromic,
     is_real_rooted,
     is_unimodal,
     iterate_fixed_last_color,
     iterate_full_group,
     iterate_quotient_reps,
+    parse,
     quotient_cardinality,
+    reversal_map,
     stat_report,
+    validate,
     verify_abr_identity,
     verify_coset_invariance,
     verify_involution,
@@ -83,6 +88,12 @@ class TestStreams:
         with pytest.raises(ValidationError):
             list(iterate_fixed_last_color(2, 2, 2))
 
+    @pytest.mark.parametrize("cardinality", [quotient_cardinality, full_cardinality])
+    @pytest.mark.parametrize("alpha,n", [(2, 0), (2, -1), (0, 3)])
+    def test_cardinality_rejects_bad_parameters(self, cardinality, alpha, n):
+        with pytest.raises(ValidationError):
+            cardinality(alpha, n)
+
     def test_cap_guard(self):
         with pytest.raises(CapExceededError) as exc:
             list(iterate_quotient_reps(2, 9, cap=1000))
@@ -92,6 +103,60 @@ class TestStreams:
         monkeypatch.setenv("WREATH_CAP", "10")
         with pytest.raises(CapExceededError):
             list(iterate_quotient_reps(2, 4))
+
+
+def assert_checked(w):
+    """w equals, and hashes like, the checked element with its fields."""
+    assert type(w.window) is tuple and type(w.colors) is tuple
+    checked = validate(w.alpha, w.window, w.colors)
+    assert w == checked and hash(w) == hash(checked)
+
+
+class TestUncheckedConstruction:
+    """The streams and the maps they feed build their elements without the
+    checks of public construction; every one must still be a valid element."""
+
+    SIZES = [(alpha, n) for alpha in range(1, 5) for n in range(1, 6)]
+
+    def test_streamed_elements(self):
+        for alpha, n in self.SIZES:
+            for w in iterate_full_group(alpha, n):
+                assert_checked(w)
+            for beta in range(alpha):
+                for w in iterate_fixed_last_color(alpha, n, beta):
+                    assert_checked(w)
+            for w in iterate_quotient_reps(alpha, n):
+                assert_checked(w)
+                assert_checked(reversal_map(w))
+
+    def test_coset_shifts(self, monkeypatch):
+        # The verifier canonicalizes each color shift it builds, so a
+        # recording canonical_rep sees every shift and every result: each
+        # element of the group whose last color is not 0, and its coset's
+        # representative.
+        canonical_rep = ColoredPermutation.canonical_rep
+        calls = 0
+
+        def recording(w):
+            nonlocal calls
+            rep = canonical_rep(w)
+            assert_checked(w)
+            assert_checked(rep)
+            calls += 1
+            return rep
+
+        monkeypatch.setattr(ColoredPermutation, "canonical_rep", recording)
+        for alpha, n in self.SIZES:
+            assert verify_coset_invariance(alpha, n).ok
+        assert calls == sum((alpha - 1) * quotient_cardinality(alpha, n)
+                                for alpha, n in self.SIZES)
+
+    def test_public_construction_stays_checked(self):
+        assert not [name for name in wreath_eulerian.__all__ if "trusted" in name]
+        with pytest.raises(ValidationError):
+            ColoredPermutation(2, (1, 1), (0, 0))
+        with pytest.raises(ValidationError):
+            parse(2, "1^0 1^0")
 
 
 class TestPolynomials:
@@ -274,6 +339,12 @@ class TestSweeps:
         assert sweep(required)
 
 
+def rotate_window(w):
+    """A stand-in for the reversal map that keeps the last color 0 but is no
+    involution for n >= 3."""
+    return validate(w.alpha, w.window[1:] + w.window[:1], w.colors)
+
+
 class TestVerifiers:
     def test_symmetry(self):
         assert verify_symmetry(3, 4).ok
@@ -317,6 +388,20 @@ class TestVerifiers:
         result = verify_coset_invariance(2, 3)
         assert not result.ok
         assert result.counterexample is not None
+
+    @pytest.mark.parametrize("broken", [lambda w: w, rotate_window],
+                             ids=["identity", "rotation"])
+    def test_symmetry_catches_wrong_reversal_map(self, monkeypatch, broken):
+        monkeypatch.setattr(enumeration, "reversal_map", broken)
+        result = verify_symmetry(2, 3)
+        assert not result.ok
+        assert result.counterexample == identity(2, 3)
+
+    def test_involution_catches_wrong_reversal_map(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "reversal_map", rotate_window)
+        result = verify_involution(2, 3)
+        assert not result.ok
+        assert result.counterexample == identity(2, 3)
 
     def test_cap_propagates(self):
         with pytest.raises(CapExceededError):
