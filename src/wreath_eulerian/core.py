@@ -22,14 +22,21 @@ class ValidationError(ValueError):
     """Malformed element data or mismatched group parameters."""
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: a float, or True and False, would compare
+    equal to a valid entry and slip past the value checks."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class ColoredPermutation:
     """An element of Z_alpha wr S_n.
 
     ``window`` is the underlying permutation of {1..n} in one-line notation;
     ``colors`` assigns each position a color in {0..alpha-1}.  Constructing
-    one checks both; only ``_trusted`` skips that, for tuples derived from
-    elements already known to be valid.
+    one checks both, and that alpha and every entry is an int (not a bool);
+    only ``_trusted`` skips that, for tuples derived from elements already
+    known to be valid.
     """
 
     alpha: int
@@ -41,6 +48,8 @@ class ColoredPermutation:
             object.__setattr__(self, "window", tuple(self.window))
         if not isinstance(self.colors, tuple):
             object.__setattr__(self, "colors", tuple(self.colors))
+        if not _is_int(self.alpha):
+            raise ValidationError(f"alpha must be an int, got {self.alpha!r}")
         if self.alpha < 1:
             raise ValidationError(f"alpha must be >= 1, got {self.alpha}")
         n = len(self.window)
@@ -49,10 +58,15 @@ class ColoredPermutation:
         if len(self.colors) != n:
             raise ValidationError(
                 f"window has {n} entries but colors has {len(self.colors)}")
+        for v in self.window:
+            if not _is_int(v):
+                raise ValidationError(f"window entry {v!r} is not an int")
         if sorted(self.window) != list(range(1, n + 1)):
             raise ValidationError(
                 f"window {self.window} is not a permutation of 1..{n}")
         for c in self.colors:
+            if not _is_int(c):
+                raise ValidationError(f"color {c!r} is not an int")
             if not 0 <= c < self.alpha:
                 raise ValidationError(
                     f"color {c} out of range for alpha={self.alpha}")

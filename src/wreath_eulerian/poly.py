@@ -5,11 +5,14 @@ degree is explicit (trailing zeros below it are kept), because palindromicity
 of a descent polynomial must be tested against the statistic's maximum even
 if a leading coefficient were zero.
 
-Real-rootedness is decided exactly by one integer Sturm chain of the
-polynomial p itself.  Its last entry is gcd(p, p') up to a constant, and
-the square-free part of p has the same roots as a set and degree
-deg p - deg gcd(p, p'), so p is real-rooted iff the chain counts that many
-distinct real roots.  No floating point anywhere.
+Real-rootedness is decided exactly by one integer Sturm chain.  Its last
+entry is gcd(q, q') up to a constant, and the square-free part of q has the
+same roots as a set and degree deg q - deg gcd(q, q'), so q is real-rooted
+iff the chain counts that many distinct real roots.  The chain is not built
+for p itself but for a smaller polynomial with the same verdict: the real
+roots x = 0 and x = -1 are divided out, and a palindromic rest
+q(x) = x^m g(x + 1/x) is decided from g, of half the degree (Petersen,
+*Eulerian Numbers*, ch. 4).  No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -33,6 +36,9 @@ class IntPolynomial:
             object.__setattr__(self, "coefficients", tuple(self.coefficients))
         if not self.coefficients:
             raise ValueError("coefficient sequence must be nonempty")
+        for c in self.coefficients:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ValueError(f"coefficient {c!r} is not an int")
 
     @property
     def nominal_degree(self) -> int:
@@ -108,21 +114,28 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
+def _nonzero_coefficients(p: IntPolynomial) -> list[int]:
+    """p's coefficients with leading zeros trimmed; the zero polynomial is
+    rejected."""
+    c = _trim(list(p.coefficients))
+    if not c:
+        raise ValueError("zero polynomial rejected")
+    return c
+
+
 def _derivative(c: list[int]) -> list[int]:
     return _trim([i * c[i] for i in range(1, len(c))])
 
 
-def _sturm_chain(p: IntPolynomial) -> list[list[int]]:
-    """Sturm chain of p and p' over the integers, leading zero coefficients
-    of p trimmed.  Each later entry is the pseudo-remainder of the two
-    before it, scaled by a power of |lc| of the divisor, then negated and
-    divided by its content: both factors are positive, so every sign of
-    the rational chain is kept, and the content division keeps the
-    coefficients small.  The last entry is gcd(p, p') up to a constant."""
-    chain = [_trim(list(p.coefficients))]
-    if not chain[0]:
-        raise ValueError("zero polynomial rejected")
-    b = _derivative(chain[0])
+def _sturm_chain(c: list[int]) -> list[list[int]]:
+    """Sturm chain of a nonzero trimmed c and its derivative over the
+    integers.  Each later entry is the pseudo-remainder of the two before
+    it, scaled by a power of |lc| of the divisor, then negated and divided
+    by its content: both factors are positive, so every sign of the
+    rational chain is kept, and the content division keeps the
+    coefficients small.  The last entry is gcd(c, c') up to a constant."""
+    chain = [c]
+    b = _derivative(c)
     while b:
         chain.append(b)
         r = list(chain[-2])
@@ -154,6 +167,47 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
+def _square_free_chain(c: list[int]) -> list[list[int]]:
+    """The Sturm chain of c with every entry divided by the primitive
+    gcd(c, c'): the chain of c's square-free part, so a finite point may
+    itself be a repeated root of c."""
+    chain = _sturm_chain(c)
+    g = chain[-1]
+    if len(g) > 1:
+        content = math.gcd(*g)
+        g = [x // content for x in g]
+        chain = [_exact_quotient(e, g) for e in chain]
+    return chain
+
+
+def _divide_one_plus_x(c: list[int]) -> list[int] | None:
+    """c / (1 + x) by synthetic division, or None if c(-1) != 0."""
+    q = []
+    carry = 0
+    for a in c[:-1]:
+        carry = a - carry
+        q.append(carry)
+    return q if carry == c[-1] else None
+
+
+def _palindromic_reduction(c: list[int]) -> list[int]:
+    """g with c(x) = x^m g(x + 1/x), for a palindromic c of degree 2m.
+    c(x) / x^m = c_m + sum_j c_(m+j) (x^j + x^-j), and x^j + x^-j is D_j(y)
+    at y = x + 1/x, where D_0 = 2, D_1 = y and D_(j+1) = y D_j - D_(j-1)."""
+    m = (len(c) - 1) // 2
+    g = [c[m]] + [0] * m
+    prev, cur = [2], [0, 1]
+    for j in range(1, m + 1):
+        a = c[m + j]
+        for i, d in enumerate(cur):
+            g[i] += a * d
+        nxt = [0] + cur
+        for i, d in enumerate(prev):
+            nxt[i] -= d
+        prev, cur = cur, nxt
+    return g
+
+
 def _sign_at(c: list[int], point) -> int:
     if point is POS_INF:
         value = c[-1]
@@ -173,24 +227,43 @@ def _sign_variations(chain: list[list[int]], point) -> int:
 
 def real_root_count(p: IntPolynomial, lower=NEG_INF, upper=POS_INF) -> int:
     """Number of distinct real roots in the interval (lower, upper], exact.
-    Defaults to the whole real line.  Every chain entry is divided by the
-    primitive gcd(p, p'), which gives the square-free part's chain, so a
-    finite bound may itself be a repeated root."""
-    chain = _sturm_chain(p)
-    g = chain[-1]
-    if len(g) > 1:
-        content = math.gcd(*g)
-        g = [x // content for x in g]
-        chain = [_exact_quotient(c, g) for c in chain]
+    Defaults to the whole real line.  The chain is that of p's square-free
+    part, so a finite bound may itself be a repeated root."""
+    chain = _square_free_chain(_nonzero_coefficients(p))
     return _sign_variations(chain, lower) - _sign_variations(chain, upper)
 
 
 def is_real_rooted(p: IntPolynomial) -> bool:
-    """True iff every root is real: p has deg p - deg gcd(p, p') distinct
-    roots, its square-free part's degree, and the Sturm chain counts how
-    many are real.  Leading zero coefficients are trimmed, and a nonzero
-    constant counts as real-rooted."""
-    chain = _sturm_chain(p)
+    """True iff every root is real.  Leading zero coefficients are trimmed,
+    and a nonzero constant counts as real-rooted.
+
+    Three exact reductions keep the verdict and shrink the one Sturm chain:
+    (a) the low-order zeros, the root x = 0, are stripped; (b) (1 + x) is
+    divided out while -1 is a root; (c) if the rest q is palindromic, it
+    has even degree 2m (an odd-degree palindrome has the root -1) and
+    q(x) = x^m g(x + 1/x).  Each root y of g gives the two roots of
+    x^2 - y x + 1, both real iff y is real with |y| >= 2, so q is
+    real-rooted iff g's distinct roots are all real and none lies in
+    (-2, 2); y = 2 is the double root x = 1, and g(-2) != 0 after (b).
+    Otherwise q has deg q - deg gcd(q, q') distinct roots, its square-free
+    part's degree, and its own chain counts how many are real."""
+    c = _nonzero_coefficients(p)
+    k = 0
+    while c[k] == 0:
+        k += 1
+    q = c[k:]
+    while len(q) > 1 and (quotient := _divide_one_plus_x(q)) is not None:
+        q = quotient
+    if q == q[::-1]:
+        chain = _square_free_chain(_palindromic_reduction(q))
+        # g's roots in (-2, 2]: only y = 2, the double root x = 1, may be one.
+        inside = _sign_variations(chain, -2) - _sign_variations(chain, 2)
+        if inside != (_sign_at(chain[0], 2) == 0):
+            return False
+        distinct = len(chain[0]) - 1
+    else:
+        chain = _sturm_chain(q)
+        distinct = len(chain[0]) - len(chain[-1])
     real = (_sign_variations(chain, NEG_INF)
             - _sign_variations(chain, POS_INF))
-    return real == len(chain[0]) - len(chain[-1])
+    return real == distinct

@@ -14,6 +14,7 @@ from wreath_eulerian import (
     parse,
     validate,
 )
+from wreath_eulerian.cli import main
 
 SMALL_GROUPS = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (4, 2)]
 
@@ -57,6 +58,27 @@ class TestValidate:
     def test_empty_window(self):
         with pytest.raises(ValidationError):
             validate(2, [], [])
+
+    @pytest.mark.parametrize("alpha,window,colors", [
+        (2, [1.0, 2.0], [0.5, 0]),
+        (2.5, [1, 2], [2, 0]),
+        (True, [2, 1], [0, False]),
+        (2, [2, 1], [0, True]),
+        (2, ["1", "2"], [0, 0]),
+    ], ids=["float-entries", "float-alpha", "bool-alpha", "bool-color",
+            "str-window"])
+    def test_non_integer_data_rejected(self, alpha, window, colors):
+        with pytest.raises(ValidationError):
+            validate(alpha, window, colors)
+        with pytest.raises(ValidationError):
+            ColoredPermutation(alpha, tuple(window), tuple(colors))
+
+    def test_parsed_and_cli_elements_still_accepted(self, capsys):
+        w = parse(2, "2^1 1^0")
+        assert (w.alpha, w.window, w.colors) == (2, (2, 1), (1, 0))
+        assert w * w.inverse() == identity(2, 2)
+        assert main(["verify", "symmetry", "--alpha", "2", "--n", "3"]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
 
 
 class TestMultiply:

@@ -366,18 +366,25 @@ class TestVerifiers:
         assert all(r.ok for r in results)
 
     def test_product_identity_at_scale(self):
-        # Degree up to 60; each lhs is real-rooted because the rhs is.
-        cap = quotient_cardinality(2, 31)
-        results = verify_product_identity(15, cap=cap)
-        assert len(results) == 15
+        # Degree up to 120; each lhs is real-rooted because the rhs is.
+        cap = quotient_cardinality(2, 61)
+        results = verify_product_identity(30, cap=cap)
+        assert len(results) == 30
         assert all(r.ok for r in results)
-        for k in range(1, 16):
-            assert flag_eulerian_quotient(2, 2 * k + 1, cap=cap).real_rooted
+        rows = flag_table(2, 61, cap=cap)
+        for k in range(1, 31):
+            assert is_real_rooted(rows[2 * k])
 
     def test_abr_identity_at_scale(self):
         results = verify_abr_identity(30, cap=full_cardinality(2, 30))
         assert len(results) == 30
         assert all(r.ok for r in results)
+
+    def test_abr_identity_rows_are_real_rooted(self):
+        # (1+x)^n A_n: ABR's identity makes every full-group row real-rooted.
+        rows = list(enumeration._rows(2, 30, "flag", None, full_cardinality(2, 30)))
+        assert len(rows) == 30
+        assert all(is_real_rooted(row) for row in rows)
 
     def test_coset_invariance(self):
         for alpha, n in [(2, 3), (3, 2), (1, 4)]:

@@ -12,6 +12,7 @@ from wreath_eulerian import (
     is_unimodal,
     real_root_count,
 )
+from wreath_eulerian import poly
 from wreath_eulerian.poly import POS_INF
 
 
@@ -25,6 +26,34 @@ def known_roots(draw):
         for _ in range(draw(st.integers(1, 3))):
             p = p * IntPolynomial((-r, 1))
     return p, roots
+
+
+@st.composite
+def palindromic_products(draw):
+    """(p, real, distinct): p is a product of reciprocal pairs
+    r x^2 - (r^2 + 1) x + r (roots r and 1/r), an optional unit-circle factor
+    x^2 - t x + 1 with |t| < 2, an optional (1 - x)^2 (y = 2 under
+    y = x + 1/x), (1 + x)^m and x^k.  real is True iff there is no
+    unit-circle factor; distinct counts p's distinct real roots."""
+    rs = draw(st.lists(st.sampled_from([-5, -4, -3, -2, 2, 3, 4, 5]),
+                       max_size=4))
+    unit = draw(st.sampled_from([None, -1, 0, 1]))
+    one = draw(st.booleans())
+    m, k = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    p = binomial_power(m) * IntPolynomial((0,) * k + (1,))
+    for r in rs:
+        p = p * IntPolynomial((r, -(r * r + 1), r))
+    if unit is not None:
+        p = p * IntPolynomial((1, -unit, 1))
+    if one:
+        p = p * IntPolynomial((1, -2, 1))
+    distinct = 2 * len(set(rs)) + one + (m > 0) + (k > 0)
+    return p, unit is None, distinct
+
+
+def square_free_degree(p):
+    """Degree of p's square-free part, from the direct chain of p."""
+    return len(poly._square_free_chain(poly._trim(list(p.coefficients)))[0]) - 1
 
 
 small_polys = st.builds(
@@ -82,6 +111,12 @@ class TestRingOperations:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             IntPolynomial(())
+
+    @pytest.mark.parametrize("coeffs", [(1.5, 2), (1, 2.0), (True, 1),
+                                        (1, False), ("1", 2)])
+    def test_non_integer_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValueError):
+            IntPolynomial(coeffs)
 
     @given(small_polys, small_polys, small_polys)
     def test_ring_laws(self, p, q, r):
@@ -220,3 +255,53 @@ class TestRealRootedness:
         assert real_root_count(p, lo, hi) == \
             sum(1 for r in roots if lo < r <= hi)
         assert not is_real_rooted(p * IntPolynomial((k, 0, 1)))
+
+
+class TestReductions:
+    """is_real_rooted strips x^k and (1 + x)^m and decides a palindromic
+    rest q(x) = x^m g(x + 1/x) from g; these cases know their answer by
+    construction."""
+
+    @given(palindromic_products())
+    def test_palindromic_products(self, case):
+        p, real, distinct = case
+        assert is_real_rooted(p) == real
+        assert real_root_count(p) == distinct
+        assert (real_root_count(p) == square_free_degree(p)) == real
+
+    @pytest.mark.parametrize("coeffs,expected", [
+        ((1, 0, 1), False),            # 1 + x^2: g = y, root 0
+        ((1, 1, 1), False),            # g = y + 1
+        ((1, -1, 1), False),           # g = y - 1
+        ((1, -4, 6, -4, 1), True),     # (1 - x)^4: g = (y - 2)^2
+        # (x^2 + x + 1)^2 (x^2 - 3x + 1): g = (y + 1)^2 (y - 3), a double
+        # root in (-2, 2) beside a real pair
+        ((1, -1, -2, -5, -2, -1, 1), False),
+        # (1 - x)^2 (3x^2 - 10x + 3) (1 + x)^3 x^2: only real roots
+        ((0, 0, 3, -7, -13, 17, 17, -13, -7, 3), True),
+    ])
+    def test_palindromic_examples(self, coeffs, expected):
+        p = IntPolynomial(coeffs)
+        assert is_real_rooted(p) == expected
+        assert (real_root_count(p) == square_free_degree(p)) == expected
+
+    @pytest.mark.parametrize("coeffs,expected", [
+        ((-1, 0, 1), True),            # (x - 1)(x + 1): rest x - 1
+        ((1, -3, 3, -1), True),        # (1 - x)^3
+        ((1, 0, 0, 0, -1), False),     # 1 - x^4: rest (1 - x)(1 + x^2)
+    ])
+    def test_anti_palindromic_rest_takes_the_direct_chain(
+            self, monkeypatch, coeffs, expected):
+        def refuse(c):
+            raise AssertionError("palindromic reduction of a non-palindrome")
+
+        monkeypatch.setattr(poly, "_palindromic_reduction", refuse)
+        assert is_real_rooted(IntPolynomial(coeffs)) == expected
+
+    @given(small_polys)
+    def test_agrees_with_the_direct_chain(self, p):
+        if p.is_zero():
+            return
+        for q in (p, p * IntPolynomial(p.coefficients[::-1])):
+            assert is_real_rooted(q) == \
+                (real_root_count(q) == square_free_degree(q))
