@@ -7,6 +7,12 @@ identity permutation with all colors 1) is never materialized; coset logic
 goes through :meth:`ColoredPermutation.canonical_rep` and
 :meth:`ColoredPermutation.same_coset`.
 
+This module owns the parameter rules: ``_require_int`` (alpha, n, a cap),
+``_require_color`` (a color, beta, a mark) and ``_require_permutation`` (a
+window, a matrix's rows).  Every public entry point checks its arguments
+through them, so a value that is not an int, or is a bool, is a
+:class:`ValidationError` like one out of range.
+
 Public construction is always checked: :func:`validate`, :func:`parse`, a
 direct ``ColoredPermutation(...)``, the group product and the inverse.  The
 private ``ColoredPermutation._trusted`` skips the check and is only for
@@ -26,6 +32,27 @@ def _is_int(value) -> bool:
     """An int that is not a bool: a float, or True and False, would compare
     equal to a valid entry and slip past the value checks."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(name: str, value, low: int) -> None:
+    """``value`` is an int, not a bool, and at least ``low``."""
+    if not _is_int(value) or value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value!r}")
+
+
+def _require_color(name: str, value, alpha: int) -> None:
+    """``value`` is an int, not a bool, in 0..alpha-1."""
+    if not _is_int(value) or not 0 <= value < alpha:
+        raise ValidationError(f"{name} {value!r} out of range for alpha={alpha}")
+
+
+def _require_permutation(name: str, values) -> None:
+    """``values`` are ints, not bools, that permute 1..len(values).  The
+    message is formatted only on failure."""
+    n = len(values)
+    if not all(map(_is_int, values)) or sorted(values) != list(range(1, n + 1)):
+        raise ValidationError(
+            f"{name} {tuple(values)} is not a permutation of 1..{n}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,28 +75,16 @@ class ColoredPermutation:
             object.__setattr__(self, "window", tuple(self.window))
         if not isinstance(self.colors, tuple):
             object.__setattr__(self, "colors", tuple(self.colors))
-        if not _is_int(self.alpha):
-            raise ValidationError(f"alpha must be an int, got {self.alpha!r}")
-        if self.alpha < 1:
-            raise ValidationError(f"alpha must be >= 1, got {self.alpha}")
+        _require_int("alpha", self.alpha, 1)
         n = len(self.window)
         if n < 1:
             raise ValidationError("window must be nonempty")
         if len(self.colors) != n:
             raise ValidationError(
                 f"window has {n} entries but colors has {len(self.colors)}")
-        for v in self.window:
-            if not _is_int(v):
-                raise ValidationError(f"window entry {v!r} is not an int")
-        if sorted(self.window) != list(range(1, n + 1)):
-            raise ValidationError(
-                f"window {self.window} is not a permutation of 1..{n}")
+        _require_permutation("window", self.window)
         for c in self.colors:
-            if not _is_int(c):
-                raise ValidationError(f"color {c!r} is not an int")
-            if not 0 <= c < self.alpha:
-                raise ValidationError(
-                    f"color {c} out of range for alpha={self.alpha}")
+            _require_color("color", c, self.alpha)
 
     @classmethod
     def _trusted(cls, alpha: int, window: tuple[int, ...],
@@ -171,17 +186,13 @@ class GenPermMatrix:
     def __post_init__(self) -> None:
         if not isinstance(self.entries, tuple):
             object.__setattr__(self, "entries", tuple(self.entries))
-        if self.alpha < 1:
-            raise ValidationError(f"alpha must be >= 1, got {self.alpha}")
+        _require_int("alpha", self.alpha, 1)
+        _require_int("size", self.size, 1)
         if len(self.entries) != self.size:
             raise ValidationError("one entry required per column")
-        rows = sorted(r for r, _ in self.entries)
-        if rows != list(range(1, self.size + 1)):
-            raise ValidationError("entries must hit each row exactly once")
+        _require_permutation("rows", [r for r, _ in self.entries])
         for _, e in self.entries:
-            if not 0 <= e < self.alpha:
-                raise ValidationError(
-                    f"exponent {e} out of range for alpha={self.alpha}")
+            _require_color("exponent", e, self.alpha)
 
     def __mul__(self, other: "GenPermMatrix") -> "GenPermMatrix":
         if self.alpha != other.alpha or self.size != other.size:
@@ -201,14 +212,14 @@ def validate(alpha: int, window, colors) -> ColoredPermutation:
 
 def identity(alpha: int, n: int) -> ColoredPermutation:
     """The identity element 1^0 2^0 ... n^0."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _require_int("n", n, 1)
     return ColoredPermutation(alpha, tuple(range(1, n + 1)), (0,) * n)
 
 
 def color_shift_generator(alpha: int, n: int) -> ColoredPermutation:
     """The identity permutation with all colors 1; generates the central
     subgroup of constant color shifts (order alpha)."""
+    _require_int("n", n, 1)
     if alpha == 1:
         return identity(alpha, n)
     return ColoredPermutation(alpha, tuple(range(1, n + 1)), (1,) * n)

@@ -35,7 +35,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import ColoredPermutation, ValidationError
+from .core import ColoredPermutation, ValidationError, _require_color, _require_int
 from .poly import IntPolynomial, binomial_power, is_palindromic, is_real_rooted, is_unimodal
 from .stats import colored_descent_count, flag_descent, reversal_map
 
@@ -70,16 +70,13 @@ def resolve_cap(cap: int | None) -> int:
         except ValueError:
             raise ValidationError(
                 f"WREATH_CAP must be an integer, got {env!r}") from None
-    if cap < 0:
-        raise ValidationError(f"{source} must be >= 0, got {cap}")
+    _require_int(source, cap, 0)
     return cap
 
 
 def _check_parameters(alpha: int, n: int) -> None:
-    if alpha < 1:
-        raise ValidationError(f"alpha must be >= 1, got {alpha}")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _require_int("alpha", alpha, 1)
+    _require_int("n", n, 1)
 
 
 def _guard(count: int, cap: int | None) -> None:
@@ -144,8 +141,7 @@ def iterate_fixed_last_color(alpha: int, n: int, beta: int,
     """All elements with last color beta, in lexicographic order of
     (window, colors)."""
     _check_parameters(alpha, n)
-    if not 0 <= beta < alpha:
-        raise ValidationError(f"beta {beta} out of range for alpha={alpha}")
+    _require_color("beta", beta, alpha)
     _guard(quotient_cardinality(alpha, n), cap)
     make = ColoredPermutation._trusted
     for window in itertools.permutations(range(1, n + 1)):
@@ -256,8 +252,7 @@ def _build(alpha: int, n: int, statistic: str, domain: str,
         fixed = None
         label = "full"
     elif domain == "fixed":
-        if not 0 <= beta < alpha:
-            raise ValidationError(f"beta {beta} out of range for alpha={alpha}")
+        _require_color("beta", beta, alpha)
         fixed = beta
         label = f"fixed:{beta}"
     else:
@@ -299,8 +294,7 @@ def classical_eulerian(n: int) -> IntPolynomial:
     """Eulerian polynomial by the triangle recurrence
     A(n,k) = (k+1) A(n-1,k) + (n-k) A(n-1,k-1), not by enumeration; the
     identity verifiers use it as an independent computation path."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _require_int("n", n, 1)
     row = [1]
     for m in range(2, n + 1):
         new = [0] * m
@@ -318,8 +312,6 @@ def flag_table(alpha: int, n_max: int, cap: int | None = None,
     """Rows n = 1..n_max of flag-statistic counts over the quotient; row n
     has columns k = 0..alpha*(n-1).  One transfer-matrix pass gives every
     row, so the cap refuses the sweep on its largest domain, n = n_max."""
-    if n_max < 1:
-        raise ValidationError(f"n_max must be >= 1, got {n_max}")
     _check_parameters(alpha, n_max)
     return list(_rows(alpha, n_max, STAT_FLAG, 0, cap))
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import _require_int
+
 #: Sentinels for unbounded interval ends in root counting.
 NEG_INF = object()
 POS_INF = object()
@@ -78,8 +80,7 @@ class IntPolynomial:
 
 def binomial_power(n: int) -> IntPolynomial:
     """(1 + x)^n, nominal degree n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _require_int("n", n, 0)
     return IntPolynomial(tuple(math.comb(n, k) for k in range(n + 1)))
 
 

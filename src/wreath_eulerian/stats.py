@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ColoredPermutation, ValidationError
+from .core import ColoredPermutation, ValidationError, _require_color, _require_int
 
 
 @dataclass(frozen=True, slots=True)
@@ -22,14 +22,11 @@ class ColorSequence:
     def __post_init__(self) -> None:
         if not isinstance(self.colors, tuple):
             object.__setattr__(self, "colors", tuple(self.colors))
-        if self.alpha < 1:
-            raise ValidationError(f"alpha must be >= 1, got {self.alpha}")
+        _require_int("alpha", self.alpha, 1)
         if not self.colors:
             raise ValidationError("color sequence must be nonempty")
         for c in self.colors:
-            if not 0 <= c < self.alpha:
-                raise ValidationError(
-                    f"color {c} out of range for alpha={self.alpha}")
+            _require_color("color", c, self.alpha)
 
 
 def colored_descent_set(w: ColoredPermutation) -> frozenset[int]:
@@ -96,7 +93,8 @@ def delete_equal_color_descent(w: ColoredPermutation, i: int) -> ColoredPermutat
         raise ValidationError(f"deletion needs last color 0, got {w}")
     if n < 2:
         raise ValidationError("deletion needs n >= 2")
-    if not 1 <= i < n:
+    _require_int("position", i, 1)
+    if i >= n:
         raise ValidationError(f"position {i} out of range 1..{n - 1}")
     if w.colors[i - 1] != w.colors[i] or w.window[i - 1] <= w.window[i]:
         raise ValidationError(
@@ -120,8 +118,7 @@ def winding_number(s: ColorSequence, mark: int) -> int:
     hand never touches.
     """
     a = s.alpha
-    if not 0 <= mark < a:
-        raise ValidationError(f"mark {mark} out of range for alpha={a}")
+    _require_color("mark", mark, a)
     c = s.colors
     visits = 1 if c[0] == mark else 0
     for x, y in zip(c, c[1:]):
@@ -132,13 +129,10 @@ def winding_number(s: ColorSequence, mark: int) -> int:
 
 def reverse_winding_number(s: ColorSequence, mark: int) -> int:
     """Clockwise variant: each sweep runs through increasing labels mod
-    alpha.  Same visit-counting convention as :func:`winding_number`."""
+    alpha.  Same visit-counting convention as :func:`winding_number`.
+    Reflecting the clock (c -> -c mod alpha) turns every clockwise sweep into
+    a counterclockwise one, so this is the counterclockwise number of the
+    reflected sequence at the reflected mark."""
     a = s.alpha
-    if not 0 <= mark < a:
-        raise ValidationError(f"mark {mark} out of range for alpha={a}")
-    c = s.colors
-    visits = 1 if c[0] == mark else 0
-    for x, y in zip(c, c[1:]):
-        if x != y and 1 <= (mark - x) % a <= (y - x) % a:
-            visits += 1
-    return max(visits - 1, 0)
+    _require_color("mark", mark, a)
+    return winding_number(ColorSequence(a, [-c % a for c in s.colors]), -mark % a)

@@ -6,15 +6,24 @@ from hypothesis import strategies as st
 
 from wreath_eulerian import (
     ColoredPermutation,
+    ColorSequence,
     GenPermMatrix,
     ValidationError,
+    binomial_power,
+    classical_eulerian,
     color_shift_generator,
+    delete_equal_color_descent,
+    flag_eulerian_quotient,
+    flag_table,
     identity,
     iterate_full_group,
     parse,
     validate,
+    verify_abr_identity,
+    verify_symmetry,
 )
 from wreath_eulerian.cli import main
+from wreath_eulerian.enumeration import resolve_cap
 
 SMALL_GROUPS = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (4, 2)]
 
@@ -204,6 +213,12 @@ class TestMatrixRepresentation:
             GenPermMatrix(2, 2, ((1, 0), (1, 1)))
         with pytest.raises(ValidationError):
             GenPermMatrix(2, 2, ((1, 0), (2, 2)))
+        with pytest.raises(ValidationError):
+            GenPermMatrix(2.5, 1, ((1, 0),))
+        with pytest.raises(ValidationError):
+            GenPermMatrix(2, 1, ((1.0, 0),))
+        with pytest.raises(ValidationError):
+            GenPermMatrix(2, 1, ((1, 0.5),))
 
     def test_matrix_parameter_mismatch(self):
         a = identity(2, 2).to_matrix()
@@ -284,3 +299,31 @@ class TestRendering:
     @given(colored_permutations())
     def test_parse_inverts_str(self, w):
         assert parse(w.alpha, str(w)) == w
+
+
+class TestParameterChecks:
+    """A parameter that is not an int, or is a bool, is a ValidationError at
+    every public entry point: never a value computed from it and never a
+    bare TypeError from deeper in."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: flag_eulerian_quotient(True, 3),
+        lambda: flag_eulerian_quotient(2.0, 3),
+        lambda: flag_table(2, 3.0),
+        lambda: identity(2, 2.0),
+        lambda: color_shift_generator(2, 2.0),
+        lambda: classical_eulerian(3.0),
+        lambda: binomial_power(True),
+        lambda: ColorSequence(2.5, (0, 1)),
+        lambda: ColorSequence(2, (0.5, 1)),
+        lambda: delete_equal_color_descent(validate(2, [2, 1], [0, 0]), 1.0),
+        lambda: verify_symmetry(2, 3.0),
+        lambda: verify_abr_identity(2.5),
+        lambda: resolve_cap(2.5),
+    ], ids=["bool-alpha", "float-alpha", "float-n-max", "identity-n",
+            "generator-n", "eulerian-n", "bool-power", "sequence-alpha",
+            "sequence-color", "deletion-position", "symmetry-n", "abr-n-max",
+            "cap"])
+    def test_non_int_parameter_rejected(self, call):
+        with pytest.raises(ValidationError):
+            call()

@@ -89,7 +89,7 @@ class TestStreams:
             list(iterate_fixed_last_color(2, 2, 2))
 
     @pytest.mark.parametrize("cardinality", [quotient_cardinality, full_cardinality])
-    @pytest.mark.parametrize("alpha,n", [(2, 0), (2, -1), (0, 3)])
+    @pytest.mark.parametrize("alpha,n", [(2, 0), (2, -1), (0, 3), (2.5, 3), (2, 2.0)])
     def test_cardinality_rejects_bad_parameters(self, cardinality, alpha, n):
         with pytest.raises(ValidationError):
             cardinality(alpha, n)
@@ -157,6 +157,13 @@ class TestUncheckedConstruction:
             ColoredPermutation(2, (1, 1), (0, 0))
         with pytest.raises(ValidationError):
             parse(2, "1^0 1^0")
+
+    @pytest.mark.parametrize("beta", [True, 1.0])
+    def test_stream_checks_beta_before_it_yields(self, beta):
+        # A beta equal to a valid color but not an int would otherwise
+        # reach the unchecked elements, which would print as 1^0 2^True.
+        with pytest.raises(ValidationError):
+            next(iterate_fixed_last_color(2, 2, beta))
 
 
 class TestPolynomials:
@@ -257,6 +264,8 @@ class TestPolynomials:
             stat_report(2, 3, "major-index", "quotient")
         with pytest.raises(ValidationError):
             stat_report(2, 3, "flag", "fixed", beta=2)
+        with pytest.raises(ValidationError):
+            stat_report(3, 2, "flag", "fixed", beta=1.0)
 
 
 class TestFlagTable:

@@ -175,6 +175,34 @@ class TestWindingNumbers:
             winding_number(s, 3)
         with pytest.raises(ValidationError):
             reverse_winding_number(s, -1)
+        with pytest.raises(ValidationError):
+            winding_number(ColorSequence(3, (0, 2, 1)), 1.0)
+        with pytest.raises(ValidationError):
+            reverse_winding_number(ColorSequence(3, (0, 2, 1)), True)
+
+    @staticmethod
+    def clock_walk(alpha, colors, mark, step):
+        """The hand starts on the first color; at each later color it steps
+        one mark at a time (step -1 counterclockwise, +1 clockwise) until it
+        arrives there.  Every arrival at ``mark`` is a visit."""
+        hand = colors[0]
+        visits = int(hand == mark)
+        for target in colors[1:]:
+            while hand != target:
+                hand = (hand + step) % alpha
+                visits += hand == mark
+        return max(visits - 1, 0)
+
+    def test_both_directions_match_the_clock_walk(self):
+        for alpha in range(1, 6):
+            for n in range(1, 6):
+                for colors in itertools.product(range(alpha), repeat=n):
+                    s = ColorSequence(alpha, colors)
+                    for mark in range(alpha):
+                        assert winding_number(s, mark) == self.clock_walk(
+                            alpha, colors, mark, -1)
+                        assert reverse_winding_number(s, mark) == self.clock_walk(
+                            alpha, colors, mark, +1)
 
     def test_counts_color_ascents(self):
         # W(s, 0) equals the ascent count for no-equal-adjacent sequences
