@@ -46,6 +46,14 @@ def _require_color(name: str, value, alpha: int) -> None:
         raise ValidationError(f"{name} {value!r} out of range for alpha={alpha}")
 
 
+def _as_tuple(name: str, value) -> tuple:
+    """``value`` as a tuple; a value that is not iterable is rejected."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError(f"{name} {value!r} is not a sequence") from None
+
+
 def _require_permutation(name: str, values) -> None:
     """``values`` are ints, not bools, that permute 1..len(values).  The
     message is formatted only on failure."""
@@ -72,9 +80,9 @@ class ColoredPermutation:
 
     def __post_init__(self) -> None:
         if not isinstance(self.window, tuple):
-            object.__setattr__(self, "window", tuple(self.window))
+            object.__setattr__(self, "window", _as_tuple("window", self.window))
         if not isinstance(self.colors, tuple):
-            object.__setattr__(self, "colors", tuple(self.colors))
+            object.__setattr__(self, "colors", _as_tuple("colors", self.colors))
         _require_int("alpha", self.alpha, 1)
         n = len(self.window)
         if n < 1:
@@ -185,11 +193,14 @@ class GenPermMatrix:
 
     def __post_init__(self) -> None:
         if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(self.entries))
+            object.__setattr__(self, "entries", _as_tuple("entries", self.entries))
         _require_int("alpha", self.alpha, 1)
         _require_int("size", self.size, 1)
         if len(self.entries) != self.size:
             raise ValidationError("one entry required per column")
+        for entry in self.entries:
+            if len(_as_tuple("entry", entry)) != 2:
+                raise ValidationError(f"entry {entry!r} is not a (row, exponent) pair")
         _require_permutation("rows", [r for r, _ in self.entries])
         for _, e in self.entries:
             _require_color("exponent", e, self.alpha)
@@ -207,7 +218,7 @@ class GenPermMatrix:
 
 def validate(alpha: int, window, colors) -> ColoredPermutation:
     """Build a checked ColoredPermutation from raw input."""
-    return ColoredPermutation(alpha, tuple(window), tuple(colors))
+    return ColoredPermutation(alpha, window, colors)
 
 
 def identity(alpha: int, n: int) -> ColoredPermutation:

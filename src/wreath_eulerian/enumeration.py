@@ -13,10 +13,10 @@ Two computation routes coexist on purpose:
   count and the flag statistic add up over adjacent pairs (does the window
   descend there, and how do the two colors compare), so placing entries
   left to right with the state (last color, rank of the last entry among
-  those placed so far) gives the coefficients in time polynomial in alpha
-  and n, never visiting an element.  The builders share no rule with the
-  per-element statistics, and the test suite checks the two routes against
-  each other.
+  those placed so far), each carrying its distribution packed into one
+  integer, gives the coefficients in time polynomial in alpha and n, never
+  visiting an element.  The builders share no rule with the per-element
+  statistics, and the test suite checks the two routes against each other.
 
 One pass serves a whole sweep over n, since after n entries its states hold
 row n: the table and the identity verifiers read every row from it, refused
@@ -35,7 +35,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import ColoredPermutation, ValidationError, _require_color, _require_int
+from .core import ColoredPermutation, ValidationError, _is_int, _require_color, _require_int
 from .poly import IntPolynomial, binomial_power, is_palindromic, is_real_rooted, is_unimodal
 from .stats import colored_descent_count, flag_descent, reversal_map
 
@@ -189,51 +189,44 @@ def _rows(alpha: int, n_max: int, statistic: str, beta: int | None,
 
     Entries are placed left to right.  After n entries the state is (c, r):
     the last entry's color c and its rank r among the first n window values;
-    each state carries the coefficient vector of the statistic over those
-    prefixes, and the domain's last colors sum to row n.  A next entry of
-    rank k among n + 1 values lies below the previous entry of rank j iff
-    j >= k, so prefix sums over j give each step in O(alpha * n) vector sums.
+    each state carries the statistic's distribution over those prefixes, and
+    the domain's last colors sum to row n.  A next entry of rank k among
+    n + 1 values lies below the previous entry of rank j iff j >= k, so
+    prefix sums over j give each step in O(alpha * n) additions.
+
+    A distribution is one int, its value at x = 2^w with w the bit length of
+    alpha^n_max * n_max!: coefficient k is bits [k*w, (k+1)*w).  Every slot
+    counts at most that many colored prefixes, so sums never carry, and a
+    total less a prefix sum of its own ranks never borrows.  The statistic
+    only grows along a prefix, so slots past a row's degree are never read.
     """
     _guard(full_cardinality(alpha, n_max) if beta is None
            else quotient_cardinality(alpha, n_max), cap)
-    size = _nominal_degree(alpha, n_max, statistic, beta) + 1
+    w = full_cardinality(alpha, n_max).bit_length()
+    mask = (1 << w) - 1
     flag = statistic == STAT_FLAG
     step = alpha if flag else 1
-
-    def shifted(vec: list[int], by: int) -> list[int]:
-        # Values past the largest nominal degree are dropped: both statistics
-        # grow along a prefix, so such a prefix never completes to an element
-        # of any row's domain.  Steps run only when n_max >= 2, so by < size.
-        return [0] * by + vec[:size - by]
-
-    def vsum(*vecs: list[int]) -> list[int]:
-        return [sum(col) for col in zip(*vecs)]
-
-    zero = [0] * size
-    # states[c][r]; the first color seeds the flag value (a seed past the
-    # end, c > beta at n_max = 1, stays all zero).
-    states = [[[int(k == (c if flag else 0)) for k in range(size)]]
-              for c in range(alpha)]
+    # states[c][r]; the first color seeds the flag value.
+    states = [[1 << w * c if flag else 1] for c in range(alpha)]
     for n in range(1, n_max + 1):
-        totals = [vsum(*column) for column in states]
-        # Row n has nothing past its own nominal degree: the cut drops zeros.
-        row = vsum(*totals) if beta is None else totals[beta]
-        yield IntPolynomial(row[:_nominal_degree(alpha, n, statistic, beta) + 1])
+        totals = [sum(column) for column in states]
+        row = sum(totals) if beta is None else totals[beta]
+        yield IntPolynomial(tuple(
+            row >> w * k & mask
+            for k in range(_nominal_degree(alpha, n, statistic, beta) + 1)))
         if n == n_max:
             return
         new_states = []
         for d in range(alpha):
             # From another color: flag adds alpha on a color ascent,
             # colored descents add 1 on any change.
-            cross = vsum(zero, *(
-                shifted(totals[c], (alpha if c < d else 0) if flag else 1)
-                for c in range(alpha) if c != d))
+            cross = sum(totals[c] << w * ((alpha if c < d else 0) if flag else 1)
+                        for c in range(alpha) if c != d)
             # Same color: below sums the previous ranks j < k, which add
             # nothing; the ranks j >= k are window descents and add step.
             new_states.append([
-                vsum(cross, below,
-                     shifted([t - x for t, x in zip(totals[d], below)], step))
-                for below in itertools.accumulate(states[d], vsum, initial=zero)])
+                cross + below + ((totals[d] - below) << w * step)
+                for below in itertools.accumulate(states[d], initial=0)])
         states = new_states
 
 
@@ -312,7 +305,6 @@ def flag_table(alpha: int, n_max: int, cap: int | None = None,
     """Rows n = 1..n_max of flag-statistic counts over the quotient; row n
     has columns k = 0..alpha*(n-1).  One transfer-matrix pass gives every
     row, so the cap refuses the sweep on its largest domain, n = n_max."""
-    _check_parameters(alpha, n_max)
     return list(_rows(alpha, n_max, STAT_FLAG, 0, cap))
 
 
@@ -353,11 +345,19 @@ def _against_eulerian(lhs: IntPolynomial, power: int, n: int,
         ok, f"{subject} {'matches' if ok else 'differs from'} (1+x)^{power} * A_{n}")
 
 
+def _sweeps(name: str, bound: int) -> bool:
+    """Whether a sweep to ``bound`` has rows: an int below 1 is the empty
+    sweep, and a bound that is not an int, or is a bool, is rejected."""
+    if not _is_int(bound) or bound > 0:
+        _require_int(name, bound, 1)
+    return bound > 0
+
+
 def verify_product_identity(k_max: int, cap: int | None = None) -> list[Verification]:
     """Flag polynomial over the 2-colored quotient at n = 2k+1 equals
     (1+x)^(2k) times the classical Eulerian polynomial, per k = 1..k_max:
     the odd rows n >= 3 of one pass to n = 2*k_max + 1."""
-    rows = _rows(2, 2 * k_max + 1, STAT_FLAG, 0, cap) if k_max > 0 else ()
+    rows = _rows(2, 2 * k_max + 1, STAT_FLAG, 0, cap) if _sweeps("k_max", k_max) else ()
     return [_against_eulerian(lhs, n - 1, n, f"k={n // 2}: 2-colored quotient "
                                              f"flag polynomial at n={n}")
             for n, lhs in enumerate(rows, start=1) if n > 1 and n % 2]
@@ -367,7 +367,7 @@ def verify_abr_identity(n_max: int, cap: int | None = None) -> list[Verification
     """Flag polynomial over the full 2-colored group equals (1+x)^n times
     the classical Eulerian polynomial, per n = 1..n_max: the rows of one
     pass to n_max."""
-    rows = _rows(2, n_max, STAT_FLAG, None, cap) if n_max > 0 else ()
+    rows = _rows(2, n_max, STAT_FLAG, None, cap) if _sweeps("n_max", n_max) else ()
     return [_against_eulerian(lhs, n, n, f"n={n}: full 2-colored flag polynomial")
             for n, lhs in enumerate(rows, start=1)]
 

@@ -5,14 +5,14 @@ degree is explicit (trailing zeros below it are kept), because palindromicity
 of a descent polynomial must be tested against the statistic's maximum even
 if a leading coefficient were zero.
 
-Real-rootedness is decided exactly by one integer Sturm chain.  Its last
-entry is gcd(q, q') up to a constant, and the square-free part of q has the
-same roots as a set and degree deg q - deg gcd(q, q'), so q is real-rooted
-iff the chain counts that many distinct real roots.  The chain is not built
-for p itself but for a smaller polynomial with the same verdict: the real
-roots x = 0 and x = -1 are divided out, and a palindromic rest
-q(x) = x^m g(x + 1/x) is decided from g, of half the degree (Petersen,
-*Eulerian Numbers*, ch. 4).  No floating point anywhere.
+Real-rootedness is decided exactly by one integer Sturm chain, that of the
+square-free part q / gcd(q, q'): it has the roots of q as a set, as many
+as its degree, so q is real-rooted iff the chain counts that many distinct
+real roots.  The chain is not built for p itself but for a smaller
+polynomial with the same verdict: the real roots x = 0 and x = -1 are
+divided out, and a palindromic rest q(x) = x^m g(x + 1/x) is decided from
+g, of half the degree (Petersen, *Eulerian Numbers*, ch. 4).  No floating
+point anywhere.
 """
 from __future__ import annotations
 
@@ -124,19 +124,30 @@ def _nonzero_coefficients(p: IntPolynomial) -> list[int]:
     return c
 
 
-def _derivative(c: list[int]) -> list[int]:
-    return _trim([i * c[i] for i in range(1, len(c))])
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b that divides a over the rationals; by
+    Gauss's lemma the quotient has integer coefficients."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        coef = r[shift + len(b) - 1] // b[-1]
+        q[shift] = coef
+        for i, bc in enumerate(b):
+            r[shift + i] -= coef * bc
+    return q
 
 
-def _sturm_chain(c: list[int]) -> list[list[int]]:
+def _square_free_chain(c: list[int]) -> list[list[int]]:
     """Sturm chain of a nonzero trimmed c and its derivative over the
-    integers.  Each later entry is the pseudo-remainder of the two before
-    it, scaled by a power of |lc| of the divisor, then negated and divided
-    by its content: both factors are positive, so every sign of the
-    rational chain is kept, and the content division keeps the
-    coefficients small.  The last entry is gcd(c, c') up to a constant."""
+    integers, every entry divided by the primitive gcd(c, c'): the chain of
+    c's square-free part, so a finite point may itself be a repeated root
+    of c.  Each later entry is the pseudo-remainder of the two before it,
+    scaled by a power of |lc| of the divisor, then negated and divided by
+    its content: both factors are positive, so every sign of the rational
+    chain is kept, and the content division keeps the coefficients small.
+    Before the gcd division the last entry is gcd(c, c') up to a constant."""
     chain = [c]
-    b = _derivative(c)
+    b = _trim([i * c[i] for i in range(1, len(c))])
     while b:
         chain.append(b)
         r = list(chain[-2])
@@ -152,27 +163,6 @@ def _sturm_chain(c: list[int]) -> list[list[int]]:
             _trim(r)
         content = math.gcd(*r)
         b = [-x // content for x in r]
-    return chain
-
-
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for a primitive b that divides a over the rationals; by
-    Gauss's lemma the quotient has integer coefficients."""
-    r = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for shift in range(len(q) - 1, -1, -1):
-        coef = r[shift + len(b) - 1] // b[-1]
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            r[shift + i] -= coef * bc
-    return q
-
-
-def _square_free_chain(c: list[int]) -> list[list[int]]:
-    """The Sturm chain of c with every entry divided by the primitive
-    gcd(c, c'): the chain of c's square-free part, so a finite point may
-    itself be a repeated root of c."""
-    chain = _sturm_chain(c)
     g = chain[-1]
     if len(g) > 1:
         content = math.gcd(*g)
@@ -246,8 +236,10 @@ def is_real_rooted(p: IntPolynomial) -> bool:
     x^2 - y x + 1, both real iff y is real with |y| >= 2, so q is
     real-rooted iff g's distinct roots are all real and none lies in
     (-2, 2); y = 2 is the double root x = 1, and g(-2) != 0 after (b).
-    Otherwise q has deg q - deg gcd(q, q') distinct roots, its square-free
-    part's degree, and its own chain counts how many are real."""
+    Otherwise the chain is q's own.  Either chain is that of the
+    square-free part, whose degree is the number of distinct roots; the
+    division by gcd(q, q') flips every sign at -inf or +inf together, so
+    the count of real roots is unchanged."""
     c = _nonzero_coefficients(p)
     k = 0
     while c[k] == 0:
@@ -255,16 +247,13 @@ def is_real_rooted(p: IntPolynomial) -> bool:
     q = c[k:]
     while len(q) > 1 and (quotient := _divide_one_plus_x(q)) is not None:
         q = quotient
-    if q == q[::-1]:
-        chain = _square_free_chain(_palindromic_reduction(q))
+    palindromic = q == q[::-1]
+    chain = _square_free_chain(_palindromic_reduction(q) if palindromic else q)
+    if palindromic:
         # g's roots in (-2, 2]: only y = 2, the double root x = 1, may be one.
         inside = _sign_variations(chain, -2) - _sign_variations(chain, 2)
         if inside != (_sign_at(chain[0], 2) == 0):
             return False
-        distinct = len(chain[0]) - 1
-    else:
-        chain = _sturm_chain(q)
-        distinct = len(chain[0]) - len(chain[-1])
     real = (_sign_variations(chain, NEG_INF)
             - _sign_variations(chain, POS_INF))
-    return real == distinct
+    return real == len(chain[0]) - 1

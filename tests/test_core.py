@@ -20,6 +20,7 @@ from wreath_eulerian import (
     parse,
     validate,
     verify_abr_identity,
+    verify_product_identity,
     verify_symmetry,
 )
 from wreath_eulerian.cli import main
@@ -302,9 +303,10 @@ class TestRendering:
 
 
 class TestParameterChecks:
-    """A parameter that is not an int, or is a bool, is a ValidationError at
-    every public entry point: never a value computed from it and never a
-    bare TypeError from deeper in."""
+    """A parameter that is not an int, or is a bool, and a container that is
+    not a sequence of the right shape, are a ValidationError at every public
+    entry point: never a value computed from them and never a bare TypeError
+    from deeper in."""
 
     @pytest.mark.parametrize("call", [
         lambda: flag_eulerian_quotient(True, 3),
@@ -320,10 +322,27 @@ class TestParameterChecks:
         lambda: verify_symmetry(2, 3.0),
         lambda: verify_abr_identity(2.5),
         lambda: resolve_cap(2.5),
+        lambda: validate(2, 5, [0]),
+        lambda: validate(2, [1], 0),
+        lambda: ColoredPermutation(2, (1,), 0),
+        lambda: GenPermMatrix(2, 1, (1,)),
+        lambda: GenPermMatrix(2, 1, 5),
+        lambda: GenPermMatrix(2, 1, ((1, 0, 0),)),
     ], ids=["bool-alpha", "float-alpha", "float-n-max", "identity-n",
             "generator-n", "eulerian-n", "bool-power", "sequence-alpha",
             "sequence-color", "deletion-position", "symmetry-n", "abr-n-max",
-            "cap"])
+            "cap", "int-window", "int-colors", "element-int-colors",
+            "int-entry", "int-entries", "triple-entry"])
     def test_non_int_parameter_rejected(self, call):
         with pytest.raises(ValidationError):
+            call()
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda: verify_product_identity(True), "k_max"),
+        (lambda: verify_product_identity(1.5), "k_max"),
+        (lambda: verify_abr_identity(-0.5), "n_max"),
+        (lambda: verify_abr_identity(2.5), "n_max"),
+    ], ids=["bool-k-max", "float-k-max", "negative-float-n-max", "float-n-max"])
+    def test_sweep_bound_rejected_by_name(self, call, name):
+        with pytest.raises(ValidationError, match=name):
             call()

@@ -286,6 +286,24 @@ class TestFlagTable:
                 assert row.coefficients[0] == 1
                 assert row.coefficients == row.coefficients[::-1]
 
+    # Large alpha at large n, and the same alphas at the small n where the
+    # packed slots are tightest: at (3, 4), (4, 3) and (8, 3) the full-group
+    # descent pass fills every bit of the width, while the large passes
+    # leave 2 to 5 bits spare.  A slot that spilled into the next would
+    # change a row's value at 1.
+    @pytest.mark.parametrize("alpha,n_max",
+                             [(3, 40), (4, 40), (8, 20), (3, 4), (4, 3), (8, 3)])
+    def test_large_alpha_row_sums_and_shape(self, alpha, n_max):
+        cap = full_cardinality(alpha, n_max)
+        for statistic in ("flag", "colored-descent"):
+            for beta, cardinality in ((0, quotient_cardinality),
+                                      (None, full_cardinality)):
+                rows = enumeration._rows(alpha, n_max, statistic, beta, cap)
+                for n, row in enumerate(rows, start=1):
+                    assert row.evaluate(1) == cardinality(alpha, n)
+                    if statistic == "flag" and beta == 0:
+                        assert is_palindromic(row)
+
     def test_empty_range_rejected(self):
         with pytest.raises(ValidationError):
             flag_table(2, 0)
