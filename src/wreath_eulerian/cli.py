@@ -6,6 +6,9 @@ and produces shape-verdict reports.  All output is deterministic: no
 timestamps in data payloads, coefficients rendered as decimal strings so
 arbitrary precision survives JSON consumers.
 
+The library checks every parameter; the CLI checks only that a sweep
+(``--max-n``, ``--max-k``) has rows, under the flag's name.
+
 Exit codes: 0 success/verified, 1 verification counterexample, 2 usage
 error (including an invalid ``--cap`` or ``WREATH_CAP`` and an ``--out``
 path that cannot be written), 3 resource-cap refusal.
@@ -18,7 +21,7 @@ import io
 import json
 import sys
 
-from .core import ValidationError
+from .core import ValidationError, _require_int
 from .enumeration import (
     STAT_DESCENT,
     STAT_FLAG,
@@ -40,8 +43,6 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 _STAT_NAMES = {"descent": STAT_DESCENT, "flag": STAT_FLAG}
-_VERIFY_TARGETS = ("symmetry", "product-identity", "abr-identity",
-                   "coset-invariance", "involution")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,9 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and their cyclic-shift quotients.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
+    def common(p: argparse.ArgumentParser, run,
+               formats=("text", "json", "csv")) -> None:
+        p.set_defaults(run=run)
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--cap", type=int, default=None,
                        help="maximum element count (default from WREATH_CAP "
                             "or 10^9)")
@@ -79,32 +81,29 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="quotient")
     p.add_argument("--beta", type=int, default=0,
                    help="last color for --domain fixed")
-    common(p)
+    common(p, _run_poly)
 
     p = sub.add_parser("table", help="flag count table over the quotient")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
-    common(p)
+    common(p, _run_table)
 
     p = sub.add_parser("verify", help="identity verification sweeps")
-    p.add_argument("target", choices=_VERIFY_TARGETS)
+    p.add_argument("target", choices=("symmetry", "product-identity",
+                                      "abr-identity", "coset-invariance",
+                                      "involution"))
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
-    common(p)
+    common(p, _run_verify, formats=("text",))
 
     p = sub.add_parser("report", help="shape verdicts for the flag "
                                       "polynomial over the quotient")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
-    common(p)
+    common(p, _run_report)
     return parser
-
-
-def _require_positive(name: str, value: int | None) -> None:
-    if value is None or value < 1:
-        raise ValidationError(f"{name} must be >= 1")
 
 
 def _coeff_strings(report: StatReport) -> list[str]:
@@ -167,8 +166,6 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _run_poly(args) -> int:
-    _require_positive("alpha", args.alpha)
-    _require_positive("n", args.n)
     report = stat_report(args.alpha, args.n, _STAT_NAMES[args.stat],
                          args.domain, beta=args.beta, cap=args.cap)
     if args.format == "json":
@@ -187,8 +184,7 @@ def _run_poly(args) -> int:
 
 
 def _run_table(args) -> int:
-    _require_positive("alpha", args.alpha)
-    _require_positive("max-n", args.max_n)
+    _require_int("max-n", args.max_n, 1)
     rows = flag_table(args.alpha, args.max_n, cap=args.cap)
     triples = [(n, k, str(c))
                for n, row in enumerate(rows, start=1)
@@ -203,26 +199,17 @@ def _run_table(args) -> int:
 
 
 def _run_verify(args) -> int:
-    if args.format != "text":
-        raise ValidationError(
-            f"verify writes text only, not --format {args.format}")
-    target = args.target
-    if target in ("symmetry", "coset-invariance", "involution"):
-        _require_positive("alpha", args.alpha)
-        _require_positive("n", args.n)
-        if target == "symmetry":
-            results = [verify_symmetry(args.alpha, args.n, cap=args.cap)]
-        elif target == "involution":
-            results = [verify_involution(args.alpha, args.n, cap=args.cap)]
-        else:
-            results = [verify_coset_invariance(args.alpha, args.n, cap=args.cap)]
-    elif target == "product-identity":
-        _require_positive("max-k", args.max_k)
+    if args.target == "product-identity":
+        _require_int("max-k", args.max_k, 1)
         results = verify_product_identity(args.max_k, cap=args.cap)
-    else:
-        _require_positive("max-n", args.max_n)
+    elif args.target == "abr-identity":
+        _require_int("max-n", args.max_n, 1)
         results = verify_abr_identity(args.max_n, cap=args.cap)
-
+    else:
+        # Looked up per call, so a name rebound on this module is honoured.
+        walk = {"symmetry": verify_symmetry, "involution": verify_involution,
+                "coset-invariance": verify_coset_invariance}[args.target]
+        results = [walk(args.alpha, args.n, cap=args.cap)]
     lines = []
     status = EXIT_OK
     for result in results:
@@ -239,8 +226,7 @@ def _run_verify(args) -> int:
 
 
 def _run_report(args) -> int:
-    _require_positive("alpha", args.alpha)
-    _require_positive("max-n", args.max_n)
+    _require_int("max-n", args.max_n, 1)
     table = flag_table(args.alpha, args.max_n, cap=args.cap)
     rows = [StatReport(args.alpha, n, STAT_FLAG, "quotient", polynomial)
             for n, polynomial in enumerate(table, start=1)]
@@ -260,23 +246,12 @@ def _run_report(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        args.cap = resolve_cap(args.cap)
+        return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args.cap = resolve_cap(args.cap)
-        if args.command == "poly":
-            return _run_poly(args)
-        if args.command == "table":
-            return _run_table(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        return _run_report(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

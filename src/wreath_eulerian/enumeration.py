@@ -314,6 +314,7 @@ def flag_table(alpha: int, n_max: int, cap: int | None = None,
 def verify_symmetry(alpha: int, n: int, cap: int | None = None) -> Verification:
     """Pointwise flag(w) + flag(r(w)) = alpha*(n-1) over the quotient, plus
     palindromicity of the flag polynomial."""
+    _check_parameters(alpha, n)
     target = alpha * (n - 1)
     for w in iterate_quotient_reps(alpha, n, cap=cap):
         if flag_descent(w) + flag_descent(reversal_map(w)) != target:

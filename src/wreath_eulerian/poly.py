@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import _require_int
+from .core import _as_tuple, _require_int
 
 #: Sentinels for unbounded interval ends in root counting.
 NEG_INF = object()
@@ -35,7 +35,8 @@ class IntPolynomial:
 
     def __post_init__(self) -> None:
         if not isinstance(self.coefficients, tuple):
-            object.__setattr__(self, "coefficients", tuple(self.coefficients))
+            object.__setattr__(self, "coefficients",
+                               _as_tuple("coefficients", self.coefficients))
         if not self.coefficients:
             raise ValueError("coefficient sequence must be nonempty")
         for c in self.coefficients:

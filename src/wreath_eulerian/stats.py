@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ColoredPermutation, ValidationError, _require_color, _require_int
+from .core import (ColoredPermutation, ValidationError, _as_tuple, _require_color,
+                   _require_int)
 
 
 @dataclass(frozen=True, slots=True)
@@ -21,7 +22,7 @@ class ColorSequence:
 
     def __post_init__(self) -> None:
         if not isinstance(self.colors, tuple):
-            object.__setattr__(self, "colors", tuple(self.colors))
+            object.__setattr__(self, "colors", _as_tuple("colors", self.colors))
         _require_int("alpha", self.alpha, 1)
         if not self.colors:
             raise ValidationError("color sequence must be nonempty")

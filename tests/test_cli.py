@@ -268,6 +268,8 @@ class TestFailurePaths:
         (("poly", "--alpha", "2", "--n", "3", "--cap", "abc"), None, "--cap"),
         (("poly", "--alpha", "x", "--n", "3"), None, "--alpha"),
         ((), None, "command"),
+        (("verify", "abr-identity", "--max-n", "0"), None, "max-n"),
+        (("verify", "product-identity", "--max-k", "0"), None, "max-k"),
     ])
     def test_one_line_usage_error(self, tmp_path, argv, cap_env, needle):
         proc = run_process(tmp_path, *argv, cap_env=cap_env)

@@ -328,11 +328,15 @@ class TestParameterChecks:
         lambda: GenPermMatrix(2, 1, (1,)),
         lambda: GenPermMatrix(2, 1, 5),
         lambda: GenPermMatrix(2, 1, ((1, 0, 0),)),
+        lambda: ColorSequence(2, 5),
+        lambda: verify_symmetry(None, 3),
+        lambda: verify_symmetry(2, None),
     ], ids=["bool-alpha", "float-alpha", "float-n-max", "identity-n",
             "generator-n", "eulerian-n", "bool-power", "sequence-alpha",
             "sequence-color", "deletion-position", "symmetry-n", "abr-n-max",
             "cap", "int-window", "int-colors", "element-int-colors",
-            "int-entry", "int-entries", "triple-entry"])
+            "int-entry", "int-entries", "triple-entry", "int-sequence-colors",
+            "symmetry-no-alpha", "symmetry-no-n"])
     def test_non_int_parameter_rejected(self, call):
         with pytest.raises(ValidationError):
             call()

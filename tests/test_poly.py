@@ -113,7 +113,7 @@ class TestRingOperations:
             IntPolynomial(())
 
     @pytest.mark.parametrize("coeffs", [(1.5, 2), (1, 2.0), (True, 1),
-                                        (1, False), ("1", 2)])
+                                        (1, False), ("1", 2), 5])
     def test_non_integer_coefficients_rejected(self, coeffs):
         with pytest.raises(ValueError):
             IntPolynomial(coeffs)
