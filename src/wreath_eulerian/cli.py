@@ -6,8 +6,12 @@ and produces shape-verdict reports.  All output is deterministic: no
 timestamps in data payloads, coefficients rendered as decimal strings so
 arbitrary precision survives JSON consumers.
 
-The library checks every parameter; the CLI checks only that a sweep
-(``--max-n``, ``--max-k``) has rows, under the flag's name.
+The library checks every parameter and resolves the cap (``--cap``, else
+``WREATH_CAP``, else the default); the CLI checks only that a sweep
+(``--max-n``, ``--max-k``) has rows, under the flag's name.  Each report
+renders from one record, :func:`_record`, which reads the shape verdicts
+once; each runner returns its text and exit status, and :func:`main` alone
+writes the text.
 
 Exit codes: 0 success/verified, 1 verification counterexample, 2 usage
 error (including an invalid ``--cap`` or ``WREATH_CAP`` and an ``--out``
@@ -28,7 +32,6 @@ from .enumeration import (
     CapExceededError,
     StatReport,
     flag_table,
-    resolve_cap,
     stat_report,
     verify_abr_identity,
     verify_coset_invariance,
@@ -106,24 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coeff_strings(report: StatReport) -> list[str]:
-    return [str(c) for c in report.polynomial.coefficients]
-
-
-def _shape_fields(report: StatReport) -> dict[str, str]:
-    """The report fields that ``poly`` text, ``report`` text and ``report``
-    CSV render, in their output order; reads each shape verdict once."""
-    return {
-        "alpha": str(report.alpha),
-        "n": str(report.n),
-        "degree": str(report.polynomial.nominal_degree),
-        "cardinality": str(report.cardinality),
-        "palindromic": str(report.palindromic).lower(),
-        "unimodal": str(report.unimodal).lower(),
-        "real_rooted": str(report.real_rooted).lower(),
-    }
-
-
 def _csv(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -132,7 +117,10 @@ def _csv(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def _report_payload(command: str, report: StatReport, stat: str) -> dict:
+def _record(command: str, report: StatReport, stat: str) -> dict:
+    """One report as JSON writes it: keys in output order, coefficients and
+    cardinality as decimal strings, verdicts as bools.  Reads each shape
+    verdict once; the text and CSV renderings take their fields from it."""
     return {
         "command": command,
         "alpha": report.alpha,
@@ -140,12 +128,19 @@ def _report_payload(command: str, report: StatReport, stat: str) -> dict:
         "stat": stat,
         "domain": report.domain,
         "degree": report.polynomial.nominal_degree,
-        "coefficients": _coeff_strings(report),
+        "coefficients": [str(c) for c in report.polynomial.coefficients],
         "cardinality": str(report.cardinality),
         "palindromic": report.palindromic,
         "unimodal": report.unimodal,
         "real_rooted": report.real_rooted,
     }
+
+
+# The record fields that ``poly`` text prints after the coefficients, and
+# that each ``report`` text line and CSV row prints, in output order.
+_SHAPE_KEYS = ("degree", "cardinality", "palindromic", "unimodal",
+               "real_rooted")
+_ROW_KEYS = ("alpha", "n", *_SHAPE_KEYS)
 
 
 def _sweep_json(args, rows: list[dict]) -> str:
@@ -165,40 +160,33 @@ def _emit(text: str, out: str | None) -> None:
             f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
-def _run_poly(args) -> int:
+def _run_poly(args) -> tuple[str, int]:
     report = stat_report(args.alpha, args.n, _STAT_NAMES[args.stat],
                          args.domain, beta=args.beta, cap=args.cap)
+    if args.format == "csv":
+        return _csv(["k", "coefficient"],
+                    enumerate(report.polynomial.coefficients)), EXIT_OK
+    record = _record("poly", report, args.stat)
     if args.format == "json":
-        text = json.dumps(_report_payload("poly", report, args.stat)) + "\n"
-    elif args.format == "csv":
-        text = _csv(["k", "coefficient"],
-                    enumerate(report.polynomial.coefficients))
-    else:
-        fields = _shape_fields(report)
-        del fields["alpha"], fields["n"]
-        lines = ["coefficients: " + " ".join(_coeff_strings(report))]
-        lines += [f"{key}: {value}" for key, value in fields.items()]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+        return json.dumps(record) + "\n", EXIT_OK
+    lines = [f"coefficients: {report.polynomial}"]
+    lines += [f"{key}: {str(record[key]).lower()}" for key in _SHAPE_KEYS]
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _run_table(args) -> int:
+def _run_table(args) -> tuple[str, int]:
     _require_int("max-n", args.max_n, 1)
     rows = flag_table(args.alpha, args.max_n, cap=args.cap)
     triples = [(n, k, str(c))
                for n, row in enumerate(rows, start=1)
                for k, c in enumerate(row.coefficients)]
     if args.format == "json":
-        text = _sweep_json(
-            args, [{"n": n, "k": k, "count": c} for n, k, c in triples])
-    else:
-        text = _csv(["n", "k", "count"], triples)
-    _emit(text, args.out)
-    return EXIT_OK
+        return _sweep_json(args, [{"n": n, "k": k, "count": c}
+                                  for n, k, c in triples]), EXIT_OK
+    return _csv(["n", "k", "count"], triples), EXIT_OK
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> tuple[str, int]:
     if args.target == "product-identity":
         _require_int("max-k", args.max_k, 1)
         results = verify_product_identity(args.max_k, cap=args.cap)
@@ -221,35 +209,32 @@ def _run_verify(args) -> int:
             if result.counterexample is not None:
                 lines.append(f"counterexample: {result.counterexample}")
             break
-    _emit("\n".join(lines) + "\n", args.out)
-    return status
+    return "\n".join(lines) + "\n", status
 
 
-def _run_report(args) -> int:
+def _run_report(args) -> tuple[str, int]:
     _require_int("max-n", args.max_n, 1)
     table = flag_table(args.alpha, args.max_n, cap=args.cap)
-    rows = [StatReport(args.alpha, n, STAT_FLAG, "quotient", polynomial)
-            for n, polynomial in enumerate(table, start=1)]
+    records = [_record("report", StatReport(args.alpha, n, STAT_FLAG,
+                                            "quotient", polynomial), "flag")
+               for n, polynomial in enumerate(table, start=1)]
     if args.format == "json":
-        text = _sweep_json(
-            args, [_report_payload("report", r, "flag") for r in rows])
-    else:
-        fields = [_shape_fields(r) for r in rows]
-        if args.format == "csv":
-            text = _csv(list(fields[0]), (f.values() for f in fields))
-        else:
-            lines = [" ".join(f"{key}={value}" for key, value in f.items())
-                     for f in fields]
-            text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+        return _sweep_json(args, records), EXIT_OK
+    rows = [[str(record[key]).lower() for key in _ROW_KEYS]
+            for record in records]
+    if args.format == "csv":
+        return _csv(list(_ROW_KEYS), rows), EXIT_OK
+    lines = [" ".join(f"{key}={value}" for key, value in zip(_ROW_KEYS, row))
+             for row in rows]
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        args.cap = resolve_cap(args.cap)
-        return args.run(args)
+        text, status = args.run(args)
+        _emit(text, args.out)
+        return status
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except CapExceededError as exc:

@@ -238,6 +238,9 @@ def _build(alpha: int, n: int, statistic: str, domain: str,
     _check_parameters(alpha, n)
     if statistic not in (STAT_DESCENT, STAT_FLAG):
         raise ValidationError(f"unknown statistic {statistic!r}")
+    # Checked on every domain, so a beta that no domain reads is refused
+    # rather than ignored.
+    _require_color("beta", beta, alpha)
     if domain == "quotient":
         fixed: int | None = 0
         label = "quotient"
@@ -245,7 +248,6 @@ def _build(alpha: int, n: int, statistic: str, domain: str,
         fixed = None
         label = "full"
     elif domain == "fixed":
-        _require_color("beta", beta, alpha)
         fixed = beta
         label = f"fixed:{beta}"
     else:
@@ -304,7 +306,11 @@ def flag_table(alpha: int, n_max: int, cap: int | None = None,
                workers: int = 1) -> list[IntPolynomial]:
     """Rows n = 1..n_max of flag-statistic counts over the quotient; row n
     has columns k = 0..alpha*(n-1).  One transfer-matrix pass gives every
-    row, so the cap refuses the sweep on its largest domain, n = n_max."""
+    row, so the cap refuses the sweep on its largest domain, n = n_max.
+    An n_max below 1 is the empty sweep, as in the identity verifiers."""
+    _require_int("alpha", alpha, 1)
+    if not _sweeps("n_max", n_max):
+        return []
     return list(_rows(alpha, n_max, STAT_FLAG, 0, cap))
 
 

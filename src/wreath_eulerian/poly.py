@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import _as_tuple, _require_int
+from .core import ValidationError, _as_tuple, _is_int, _require_int
 
 #: Sentinels for unbounded interval ends in root counting.
 NEG_INF = object()
@@ -217,11 +217,34 @@ def _sign_variations(chain: list[list[int]], point) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _require_bound(name: str, value) -> None:
+    """``value`` is exact: an int (not a bool), a Fraction, NEG_INF or
+    POS_INF.  A float is refused: its value is not the number written, as
+    the float 1/3 lies below 1/3, the root of 3x - 1."""
+    # Imported here, not at module level: fractions pulls in decimal, which
+    # would add milliseconds to every CLI start for a function it never calls.
+    from fractions import Fraction
+
+    if not (_is_int(value) or isinstance(value, Fraction)
+            or value is NEG_INF or value is POS_INF):
+        raise ValidationError(
+            f"{name} must be an int, a Fraction, NEG_INF or POS_INF, "
+            f"got {value!r}")
+
+
 def real_root_count(p: IntPolynomial, lower=NEG_INF, upper=POS_INF) -> int:
-    """Number of distinct real roots in the interval (lower, upper], exact.
-    Defaults to the whole real line.  The chain is that of p's square-free
-    part, so a finite bound may itself be a repeated root."""
-    chain = _square_free_chain(_nonzero_coefficients(p))
+    """Number of distinct real roots in the interval (lower, upper], exact;
+    0 when lower >= upper.  Defaults to the whole real line.  The chain is
+    that of p's square-free part, so a finite bound may itself be a
+    repeated root."""
+    _require_bound("lower", lower)
+    _require_bound("upper", upper)
+    c = _nonzero_coefficients(p)
+    if lower is POS_INF or upper is NEG_INF:
+        return 0
+    if lower is not NEG_INF and upper is not POS_INF and lower >= upper:
+        return 0
+    chain = _square_free_chain(c)
     return _sign_variations(chain, lower) - _sign_variations(chain, upper)
 
 

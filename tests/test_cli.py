@@ -197,7 +197,7 @@ class TestReportCommand:
 
 
 class TestExactOutput:
-    """Whole stdout of the text and CSV renderings, field order included."""
+    """Whole stdout of every rendering, field order included."""
 
     @pytest.mark.parametrize("argv,expected", [
         (("report", "--alpha", "2", "--max-n", "3"),
@@ -220,10 +220,58 @@ class TestExactOutput:
          "palindromic: true\n"
          "unimodal: true\n"
          "real_rooted: true\n"),
-    ], ids=["report-text", "report-text-mixed", "report-csv", "poly-text"])
+        (("poly", "--alpha", "2", "--n", "3", "--format", "json"),
+         '{"command": "poly", "alpha": 2, "n": 3, "stat": "flag", '
+         '"domain": "quotient", "degree": 4, '
+         '"coefficients": ["1", "6", "10", "6", "1"], "cardinality": "24", '
+         '"palindromic": true, "unimodal": true, "real_rooted": true}\n'),
+        (("poly", "--alpha", "3", "--n", "2", "--stat", "descent",
+          "--domain", "full", "--format", "json"),
+         '{"command": "poly", "alpha": 3, "n": 2, "stat": "descent", '
+         '"domain": "full", "degree": 1, "coefficients": ["3", "15"], '
+         '"cardinality": "18", "palindromic": false, "unimodal": true, '
+         '"real_rooted": true}\n'),
+        (("poly", "--alpha", "2", "--n", "3", "--format", "csv"),
+         "k,coefficient\n0,1\n1,6\n2,10\n3,6\n4,1\n"),
+        (("report", "--alpha", "2", "--max-n", "2", "--format", "json"),
+         '{"command": "report", "alpha": 2, "max_n": 2, "rows": ['
+         '{"command": "report", "alpha": 2, "n": 1, "stat": "flag", '
+         '"domain": "quotient", "degree": 0, "coefficients": ["1"], '
+         '"cardinality": "1", "palindromic": true, "unimodal": true, '
+         '"real_rooted": true}, '
+         '{"command": "report", "alpha": 2, "n": 2, "stat": "flag", '
+         '"domain": "quotient", "degree": 2, "coefficients": ["1", "2", "1"], '
+         '"cardinality": "4", "palindromic": true, "unimodal": true, '
+         '"real_rooted": true}]}\n'),
+        (("table", "--alpha", "2", "--max-n", "3", "--format", "csv"),
+         "n,k,count\n1,0,1\n2,0,1\n2,1,2\n2,2,1\n"
+         "3,0,1\n3,1,6\n3,2,10\n3,3,6\n3,4,1\n"),
+        (("table", "--alpha", "2", "--max-n", "2", "--format", "json"),
+         '{"command": "table", "alpha": 2, "max_n": 2, "rows": ['
+         '{"n": 1, "k": 0, "count": "1"}, {"n": 2, "k": 0, "count": "1"}, '
+         '{"n": 2, "k": 1, "count": "2"}, {"n": 2, "k": 2, "count": "1"}]}\n'),
+    ], ids=["report-text", "report-text-mixed", "report-csv", "poly-text",
+            "poly-json", "poly-json-descent-full", "poly-csv", "report-json",
+            "table-csv", "table-json"])
     def test_stdout_bytes(self, capsys, argv, expected):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("poly", "--alpha", "2", "--n", "3", "--format", "csv"),
+        ("table", "--alpha", "2", "--max-n", "3"),
+        ("table", "--alpha", "2", "--max-n", "3", "--format", "json"),
+    ])
+    def test_coefficient_renderings_compute_no_verdict(
+            self, capsys, monkeypatch, argv):
+        def refuse(polynomial):
+            raise AssertionError("shape verdict computed")
+
+        for name in ("is_palindromic", "is_unimodal", "is_real_rooted"):
+            monkeypatch.setattr(enumeration, name, refuse)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestDeterminism:
@@ -270,6 +318,7 @@ class TestFailurePaths:
         ((), None, "command"),
         (("verify", "abr-identity", "--max-n", "0"), None, "max-n"),
         (("verify", "product-identity", "--max-k", "0"), None, "max-k"),
+        (("poly", "--alpha", "2", "--n", "3", "--beta", "7"), None, "beta"),
     ])
     def test_one_line_usage_error(self, tmp_path, argv, cap_env, needle):
         proc = run_process(tmp_path, *argv, cap_env=cap_env)

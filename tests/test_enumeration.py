@@ -266,6 +266,9 @@ class TestPolynomials:
             stat_report(2, 3, "flag", "fixed", beta=2)
         with pytest.raises(ValidationError):
             stat_report(3, 2, "flag", "fixed", beta=1.0)
+        # beta is checked on every domain, not only the one that reads it.
+        with pytest.raises(ValidationError, match="beta 7 out of range"):
+            stat_report(2, 3, "flag", "quotient", beta=7)
 
 
 class TestFlagTable:
@@ -305,12 +308,20 @@ class TestFlagTable:
                         assert is_palindromic(row)
 
     def test_empty_range_rejected(self):
-        with pytest.raises(ValidationError):
-            flag_table(2, 0)
+        # The verifiers' sweep rule: a bound below 1 is the empty sweep,
+        # refused by no cap, and a bound that is not an int is rejected
+        # under its own name.
+        assert flag_table(2, 0, cap=0) == []
+        assert flag_table(2, -1, cap=0) == []
+        for bound in (2.0, True):
+            with pytest.raises(ValidationError, match="n_max"):
+                flag_table(2, bound)
 
     def test_alpha_checked_before_the_pass(self):
         with pytest.raises(ValidationError):
             flag_table(0, 3)
+        with pytest.raises(ValidationError, match="alpha"):
+            flag_table(0, 0)
 
     @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
     def test_rows_match_streaming(self, alpha):

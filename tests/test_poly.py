@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from wreath_eulerian import (
     IntPolynomial,
+    ValidationError,
     binomial_power,
     is_palindromic,
     is_real_rooted,
@@ -13,7 +14,7 @@ from wreath_eulerian import (
     real_root_count,
 )
 from wreath_eulerian import poly
-from wreath_eulerian.poly import POS_INF
+from wreath_eulerian.poly import NEG_INF, POS_INF
 
 
 @st.composite
@@ -218,6 +219,27 @@ class TestRealRootedness:
                   IntPolynomial((3, 5)),
                   IntPolynomial((1, 11, 11, 1))):
             assert real_root_count(p, 0, POS_INF) == 0
+
+    def test_bounds_are_exact(self):
+        # The float nearest 1/3 lies below 1/3, the root of 3x - 1: only an
+        # exact bound places the root inside (0, 1/3].
+        p = IntPolynomial((-1, 3))
+        assert real_root_count(p, 0, Fraction(1, 3)) == 1
+        assert real_root_count(p, Fraction(1, 3), 1) == 0
+        assert real_root_count(p, -1, 1) == 1
+        for bad in (1 / 3, 0.0, True, False, "1", None):
+            with pytest.raises(ValidationError, match="upper"):
+                real_root_count(p, 0, bad)
+            with pytest.raises(ValidationError, match="lower"):
+                real_root_count(p, bad, 1)
+
+    @pytest.mark.parametrize("lower,upper", [
+        (1, 0), (Fraction(1, 2), Fraction(1, 2)), (POS_INF, NEG_INF),
+        (POS_INF, POS_INF), (NEG_INF, NEG_INF), (POS_INF, 0), (1, NEG_INF),
+    ])
+    def test_empty_interval_counts_zero(self, lower, upper):
+        # Reversed or empty intervals, some of them around the root 1/2.
+        assert real_root_count(IntPolynomial((-1, 2)), lower, upper) == 0
 
     @pytest.mark.parametrize("coeffs,expected", [
         # quadratics by discriminant sign
