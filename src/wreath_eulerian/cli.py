@@ -8,10 +8,10 @@ arbitrary precision survives JSON consumers.
 
 The library checks every parameter and resolves the cap (``--cap``, else
 ``WREATH_CAP``, else the default); the CLI checks only that a sweep
-(``--max-n``, ``--max-k``) has rows, under the flag's name.  Each report
-renders from one record, :func:`_record`, which reads the shape verdicts
-once; each runner returns its text and exit status, and :func:`main` alone
-writes the text.
+(``--max-n``, ``--max-k``) has rows and that ``verify`` gets no flag its
+target does not read.  Each report renders from one record,
+:func:`_record`, which reads the shape verdicts once; each runner returns
+its text and exit status, and :func:`main` alone writes the text.
 
 Exit codes: 0 success/verified, 1 verification counterexample, 2 usage
 error (including an invalid ``--cap`` or ``WREATH_CAP`` and an ``--out``
@@ -46,6 +46,11 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 _STAT_NAMES = {"descent": STAT_DESCENT, "flag": STAT_FLAG}
+
+# The flags each ``verify`` target reads; setting any other is a usage error.
+_VERIFY_FLAGS = {"symmetry": ("alpha", "n"), "product-identity": ("max_k",),
+                 "abr-identity": ("max_n",), "coset-invariance": ("alpha", "n"),
+                 "involution": ("alpha", "n")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,9 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, _run_table)
 
     p = sub.add_parser("verify", help="identity verification sweeps")
-    p.add_argument("target", choices=("symmetry", "product-identity",
-                                      "abr-identity", "coset-invariance",
-                                      "involution"))
+    p.add_argument("target", choices=tuple(_VERIFY_FLAGS))
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)
@@ -187,6 +190,10 @@ def _run_table(args) -> tuple[str, int]:
 
 
 def _run_verify(args) -> tuple[str, int]:
+    for flag in ("alpha", "n", "max_n", "max_k"):
+        if getattr(args, flag) is not None and flag not in _VERIFY_FLAGS[args.target]:
+            raise ValidationError(f"verify {args.target} does not read "
+                                  f"--{flag.replace('_', '-')}")
     if args.target == "product-identity":
         _require_int("max-k", args.max_k, 1)
         results = verify_product_identity(args.max_k, cap=args.cap)

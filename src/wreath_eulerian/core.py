@@ -16,8 +16,9 @@ through them, so a value that is not an int, or is a bool, is a
 Public construction is always checked: :func:`validate`, :func:`parse`, a
 direct ``ColoredPermutation(...)``, the group product and the inverse.  The
 private ``ColoredPermutation._trusted`` skips the check and is only for
-tuples derived from elements that are already valid, as in the element
-streams, the reversal map and canonical representatives.
+fields known to be valid.  It builds the elements of the streams, the
+reversal map's images, canonical representatives and the counterexamples
+of the stream verifiers.
 """
 from __future__ import annotations
 
@@ -61,6 +62,18 @@ def _require_permutation(name: str, values) -> None:
     if not all(map(_is_int, values)) or sorted(values) != list(range(1, n + 1)):
         raise ValidationError(
             f"{name} {tuple(values)} is not a permutation of 1..{n}")
+
+
+def _shift_colors(alpha: int, colors: tuple, shift: int) -> tuple:
+    """The constant color shift: every color plus ``shift``, mod alpha."""
+    if not shift:
+        return colors
+    return tuple([(c + shift) % alpha for c in colors])
+
+
+def _canonical_colors(alpha: int, colors: tuple) -> tuple:
+    """The coset representative's colors: a shift by minus the last color."""
+    return _shift_colors(alpha, colors, -colors[-1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,12 +162,8 @@ class ColoredPermutation:
     def canonical_rep(self) -> "ColoredPermutation":
         """The coset representative under constant color shifts with last
         color 0.  Idempotent."""
-        shift = self.colors[-1]
-        if shift == 0:
-            return self
-        a = self.alpha
-        colors = tuple([(c - shift) % a for c in self.colors])
-        return ColoredPermutation._trusted(a, self.window, colors)
+        return ColoredPermutation._trusted(
+            self.alpha, self.window, _canonical_colors(self.alpha, self.colors))
 
     def same_coset(self, other: "ColoredPermutation") -> bool:
         """True iff the two elements differ by a constant color shift."""

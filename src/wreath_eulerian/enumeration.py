@@ -5,9 +5,10 @@ Two computation routes coexist on purpose:
 
 * the element streams (:func:`iterate_quotient_reps` and friends) yield every
   element in lexicographic order of (window, colors) and are the reference
-  semantics.  Their windows and colorings are valid by construction, so
-  they build elements without revalidating them, and so do the coset
-  verifier's color shifts;
+  semantics, built without revalidation since their fields are valid by
+  construction.  The symmetry, involution and coset verifiers walk the raw
+  (window, colors) tuples through the statistics' own kernels and build an
+  element only for a counterexample;
 * the polynomial builders count by the transfer-matrix method (Stanley,
   *Enumerative Combinatorics I*, section 4.7).  Both the colored descent
   count and the flag statistic add up over adjacent pairs (does the window
@@ -35,9 +36,11 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import ColoredPermutation, ValidationError, _is_int, _require_color, _require_int
+from .core import (ColoredPermutation, ValidationError, _canonical_colors, _is_int,
+                   _require_color, _require_int, _shift_colors)
 from .poly import IntPolynomial, binomial_power, is_palindromic, is_real_rooted, is_unimodal
-from .stats import colored_descent_count, flag_descent, reversal_map
+from .stats import (_descents, _flag, _reversal, colored_descent_count, flag_descent,
+                    reversal_map)  # public names kept for callers that wrap them
 
 DEFAULT_CAP = 10**9
 
@@ -136,17 +139,24 @@ class Verification:
 # ---------------------------------------------------------------------------
 # Streams
 
+def _tuples(alpha: int, n: int, beta: int, cap: int | None) -> Iterator[tuple]:
+    """Raw (window, colors) with last color beta, in lex order; checks run on the call."""
+    _check_parameters(alpha, n)
+    _require_color("beta", beta, alpha)
+    _guard(quotient_cardinality(alpha, n), cap)
+    last = (beta,)
+    return ((window, head + last)
+            for window in itertools.permutations(range(1, n + 1))
+            for head in itertools.product(range(alpha), repeat=n - 1))
+
+
 def iterate_fixed_last_color(alpha: int, n: int, beta: int,
                              cap: int | None = None) -> Iterator[ColoredPermutation]:
     """All elements with last color beta, in lexicographic order of
     (window, colors)."""
-    _check_parameters(alpha, n)
-    _require_color("beta", beta, alpha)
-    _guard(quotient_cardinality(alpha, n), cap)
     make = ColoredPermutation._trusted
-    for window in itertools.permutations(range(1, n + 1)):
-        for head in itertools.product(range(alpha), repeat=n - 1):
-            yield make(alpha, window, head + (beta,))
+    for window, colors in _tuples(alpha, n, beta, cap):
+        yield make(alpha, window, colors)
 
 
 def iterate_quotient_reps(alpha: int, n: int,
@@ -320,12 +330,13 @@ def flag_table(alpha: int, n_max: int, cap: int | None = None,
 def verify_symmetry(alpha: int, n: int, cap: int | None = None) -> Verification:
     """Pointwise flag(w) + flag(r(w)) = alpha*(n-1) over the quotient, plus
     palindromicity of the flag polynomial."""
-    _check_parameters(alpha, n)
+    elements = _tuples(alpha, n, 0, cap)
     target = alpha * (n - 1)
-    for w in iterate_quotient_reps(alpha, n, cap=cap):
-        if flag_descent(w) + flag_descent(reversal_map(w)) != target:
-            return Verification(
-                False, f"flag(w) + flag(r(w)) != {target}", counterexample=w)
+    for window, colors in elements:
+        partner = _reversal(alpha, window, colors)
+        if _flag(alpha, window, colors) + _flag(alpha, *partner) != target:
+            return Verification(False, f"flag(w) + flag(r(w)) != {target}",
+                                ColoredPermutation._trusted(alpha, window, colors))
     report = flag_eulerian_quotient(alpha, n, cap=cap)
     if not report.palindromic:
         return Verification(False, "flag polynomial is not palindromic")
@@ -335,11 +346,10 @@ def verify_symmetry(alpha: int, n: int, cap: int | None = None) -> Verification:
 
 def verify_involution(alpha: int, n: int, cap: int | None = None) -> Verification:
     """r(r(w)) = w over the quotient."""
-    total = 0
-    for w in iterate_quotient_reps(alpha, n, cap=cap):
-        if reversal_map(reversal_map(w)) != w:
-            return Verification(False, "r(r(w)) != w", counterexample=w)
-        total += 1
+    for total, (window, colors) in enumerate(_tuples(alpha, n, 0, cap), start=1):
+        if _reversal(alpha, *_reversal(alpha, window, colors)) != (window, colors):
+            return Verification(False, "r(r(w)) != w",
+                                ColoredPermutation._trusted(alpha, window, colors))
     return Verification(True, f"reversal is an involution on {total} elements")
 
 
@@ -387,18 +397,17 @@ def verify_coset_invariance(alpha: int, n: int, cap: int | None = None) -> Verif
     One coset is held at a time, so memory does not grow with the group."""
     _guard(full_cardinality(alpha, n), cap)
     coeffs = [0] * n
-    for rep in iterate_quotient_reps(alpha, n, cap=cap):
-        count = colored_descent_count(rep)
+    for window, colors in _tuples(alpha, n, 0, cap):
+        count = _descents(window, colors)
         for shift in range(1, alpha):
-            w = ColoredPermutation._trusted(
-                alpha, rep.window, tuple([(c + shift) % alpha for c in rep.colors]))
-            if w.canonical_rep() != rep:
+            shifted = _shift_colors(alpha, colors, shift)
+            if _canonical_colors(alpha, shifted) != colors:
                 return Verification(
                     False, "color shift does not canonicalize to its representative",
-                    counterexample=w)
-            if colored_descent_count(w) != count:
-                return Verification(
-                    False, "descent count varies within a coset", counterexample=rep)
+                    ColoredPermutation._trusted(alpha, window, shifted))
+            if _descents(window, shifted) != count:
+                return Verification(False, "descent count varies within a coset",
+                                    ColoredPermutation._trusted(alpha, window, colors))
         coeffs[count] += 1
     expected = colored_eulerian(alpha, n, cap=cap).polynomial
     if tuple(coeffs) != expected.coefficients:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (ColoredPermutation, ValidationError, _as_tuple, _require_color,
-                   _require_int)
+from .core import (ColoredPermutation, ValidationError, _as_tuple, _canonical_colors,
+                   _require_color, _require_int)
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,28 +41,38 @@ def colored_descent_set(w: ColoredPermutation) -> frozenset[int]:
     )
 
 
-def colored_descent_count(w: ColoredPermutation) -> int:
-    win, col = w.window, w.colors
+def _descents(window: tuple, colors: tuple) -> int:
+    """Colored descent count of the element with these fields."""
     count = 0
-    for i in range(len(win) - 1):
-        if col[i] != col[i + 1] or win[i] > win[i + 1]:
+    for i in range(len(window) - 1):
+        if colors[i] != colors[i + 1] or window[i] > window[i + 1]:
             count += 1
     return count
+
+
+def colored_descent_count(w: ColoredPermutation) -> int:
+    return _descents(w.window, w.colors)
+
+
+def _flag(alpha: int, window: tuple, colors: tuple) -> int:
+    """Flag statistic of the element with these fields."""
+    total = colors[0]
+    for i in range(len(window) - 1):
+        c, d = colors[i], colors[i + 1]
+        if c < d or c == d and window[i] > window[i + 1]:
+            total += alpha
+    return total
 
 
 def flag_descent(w: ColoredPermutation) -> int:
     """alpha * (#equal-color window descents) + alpha * (#color ascents)
     + first color, the last term added as an ordinary integer."""
-    a, win, col = w.alpha, w.window, w.colors
-    total = col[0]
-    for i in range(len(win) - 1):
-        ci, cj = col[i], col[i + 1]
-        if ci == cj:
-            if win[i] > win[i + 1]:
-                total += a
-        elif ci < cj:
-            total += a
-    return total
+    return _flag(w.alpha, w.window, w.colors)
+
+
+def _reversal(alpha: int, window: tuple, colors: tuple) -> tuple[tuple, tuple]:
+    """The reversal map's image: reversed window, reversed colors canonicalized."""
+    return window[::-1], _canonical_colors(alpha, colors[::-1])
 
 
 def reversal_map(w: ColoredPermutation) -> ColoredPermutation:
@@ -75,13 +85,8 @@ def reversal_map(w: ColoredPermutation) -> ColoredPermutation:
     rather than silently canonicalized.
     """
     if not w.is_quotient_rep():
-        raise ValidationError(
-            f"reversal map needs last color 0, got {w}")
-    a = w.alpha
-    shift = w.colors[0]
-    window = w.window[::-1]
-    colors = tuple([(c - shift) % a for c in w.colors[::-1]])
-    return ColoredPermutation._trusted(a, window, colors)
+        raise ValidationError(f"reversal map needs last color 0, got {w}")
+    return ColoredPermutation._trusted(w.alpha, *_reversal(w.alpha, w.window, w.colors))
 
 
 def delete_equal_color_descent(w: ColoredPermutation, i: int) -> ColoredPermutation:

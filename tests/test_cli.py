@@ -319,6 +319,10 @@ class TestFailurePaths:
         (("verify", "abr-identity", "--max-n", "0"), None, "max-n"),
         (("verify", "product-identity", "--max-k", "0"), None, "max-k"),
         (("poly", "--alpha", "2", "--n", "3", "--beta", "7"), None, "beta"),
+        (("verify", "abr-identity", "--max-n", "2", "--alpha", "7", "--n", "99"),
+         None, "--alpha"),
+        (("verify", "symmetry", "--alpha", "2", "--n", "3", "--max-k", "0"),
+         None, "--max-k"),
     ])
     def test_one_line_usage_error(self, tmp_path, argv, cap_env, needle):
         proc = run_process(tmp_path, *argv, cap_env=cap_env)

@@ -14,7 +14,10 @@ from wreath_eulerian import (
     ValidationError,
     binomial_power,
     classical_eulerian,
+    color_shift_generator,
+    colored_descent_count,
     colored_eulerian,
+    flag_descent,
     flag_eulerian_full,
     flag_eulerian_quotient,
     flag_table,
@@ -112,6 +115,12 @@ def assert_checked(w):
     assert w == checked and hash(w) == hash(checked)
 
 
+def assert_valid_colors(alpha, colors):
+    """colors is a tuple of colors in 0..alpha-1."""
+    assert type(colors) is tuple
+    validate(alpha, range(1, len(colors) + 1), colors)
+
+
 class TestUncheckedConstruction:
     """The streams and the maps they feed build their elements without the
     checks of public construction; every one must still be a valid element."""
@@ -131,21 +140,21 @@ class TestUncheckedConstruction:
 
     def test_coset_shifts(self, monkeypatch):
         # The verifier canonicalizes each color shift it builds, so a
-        # recording canonical_rep sees every shift and every result: each
-        # element of the group whose last color is not 0, and its coset's
-        # representative.
-        canonical_rep = ColoredPermutation.canonical_rep
+        # recording canonicalization kernel sees every shift and every
+        # result: the colors of each element of the group whose last color
+        # is not 0, and those of its coset's representative.
+        canonical_colors = enumeration._canonical_colors
         calls = 0
 
-        def recording(w):
+        def recording(alpha, colors):
             nonlocal calls
-            rep = canonical_rep(w)
-            assert_checked(w)
-            assert_checked(rep)
+            rep = canonical_colors(alpha, colors)
+            assert_valid_colors(alpha, colors)
+            assert_valid_colors(alpha, rep)
             calls += 1
             return rep
 
-        monkeypatch.setattr(ColoredPermutation, "canonical_rep", recording)
+        monkeypatch.setattr(enumeration, "_canonical_colors", recording)
         for alpha, n in self.SIZES:
             assert verify_coset_invariance(alpha, n).ok
         assert calls == sum((alpha - 1) * quotient_cardinality(alpha, n)
@@ -377,10 +386,10 @@ class TestSweeps:
         assert sweep(required)
 
 
-def rotate_window(w):
-    """A stand-in for the reversal map that keeps the last color 0 but is no
-    involution for n >= 3."""
-    return validate(w.alpha, w.window[1:] + w.window[:1], w.colors)
+def rotate_window(alpha, window, colors):
+    """A stand-in for the reversal map's kernel that keeps the last color 0
+    but is no involution for n >= 3."""
+    return window[1:] + window[:1], colors
 
 
 class TestVerifiers:
@@ -429,21 +438,22 @@ class TestVerifiers:
             assert verify_coset_invariance(alpha, n).ok
 
     def test_coset_invariance_catches_wrong_canonical_rep(self, monkeypatch):
-        monkeypatch.setattr(ColoredPermutation, "canonical_rep", lambda w: w)
+        monkeypatch.setattr(enumeration, "_canonical_colors", lambda alpha, colors: colors)
         result = verify_coset_invariance(2, 3)
         assert not result.ok
         assert result.counterexample is not None
 
-    @pytest.mark.parametrize("broken", [lambda w: w, rotate_window],
+    @pytest.mark.parametrize("broken", [lambda alpha, window, colors: (window, colors),
+                                        rotate_window],
                              ids=["identity", "rotation"])
     def test_symmetry_catches_wrong_reversal_map(self, monkeypatch, broken):
-        monkeypatch.setattr(enumeration, "reversal_map", broken)
+        monkeypatch.setattr(enumeration, "_reversal", broken)
         result = verify_symmetry(2, 3)
         assert not result.ok
         assert result.counterexample == identity(2, 3)
 
     def test_involution_catches_wrong_reversal_map(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "reversal_map", rotate_window)
+        monkeypatch.setattr(enumeration, "_reversal", rotate_window)
         result = verify_involution(2, 3)
         assert not result.ok
         assert result.counterexample == identity(2, 3)
@@ -473,3 +483,53 @@ class TestVerifiers:
                 assert report.palindromic == is_palindromic(p)
                 assert report.unimodal == is_unimodal(p)
                 assert report.real_rooted == is_real_rooted(p)
+
+
+class TestKernels:
+    """The verifiers walk raw (window, colors) fields through one kernel per
+    rule; each kernel must agree with the public function on the element."""
+
+    def test_kernels_agree_with_public_functions(self):
+        shift_by = enumeration._shift_colors
+        for alpha, n in TestUncheckedConstruction.SIZES:
+            # A shift by 1 is the product with the generator; a shift by s
+            # is s shifts by 1.
+            generator = color_shift_generator(alpha, n)
+            for w in iterate_full_group(alpha, n):
+                assert shift_by(alpha, w.colors, 1) == (generator * w).colors
+                shifted = w.colors
+                for shift in range(alpha):
+                    assert shift_by(alpha, w.colors, shift) == shifted
+                    shifted = shift_by(alpha, shifted, 1)
+            domains = [iterate_full_group(alpha, n), iterate_quotient_reps(alpha, n),
+                       *(iterate_fixed_last_color(alpha, n, b) for b in range(alpha))]
+            for w in itertools.chain(*domains):
+                window, colors = w.window, w.colors
+                assert enumeration._flag(alpha, window, colors) == flag_descent(w)
+                assert enumeration._descents(window, colors) == colored_descent_count(w)
+                assert enumeration._canonical_colors(alpha, colors) == \
+                    w.canonical_rep().colors
+                if w.is_quotient_rep():
+                    r = reversal_map(w)
+                    assert enumeration._reversal(alpha, window, colors) == \
+                        (r.window, r.colors)
+
+    @pytest.mark.parametrize("verify,kernel,broken", [
+        (verify_symmetry, "_reversal", lambda alpha, window, colors: (window, colors)),
+        (verify_symmetry, "_reversal", rotate_window),
+        (verify_symmetry, "_flag", lambda alpha, window, colors: 0),
+        (verify_involution, "_reversal", rotate_window),
+        (verify_coset_invariance, "_canonical_colors", lambda alpha, colors: colors),
+        (verify_coset_invariance, "_shift_colors",
+         lambda alpha, colors, shift: colors[:-1] + ((colors[-1] + shift) % alpha,)),
+        (verify_coset_invariance, "_descents", lambda window, colors: colors[0]),
+    ], ids=["symmetry-identity", "symmetry-rotation", "symmetry-flag",
+            "involution-rotation", "coset-canonical", "coset-shift", "coset-descents"])
+    def test_broken_kernel_counterexample_is_checked(self, monkeypatch, verify,
+                                                     kernel, broken):
+        # Counterexamples are the only elements the verifiers build.
+        monkeypatch.setattr(enumeration, kernel, broken)
+        for alpha, n in [(2, 3), (3, 4)]:
+            result = verify(alpha, n)
+            assert not result.ok
+            assert_checked(result.counterexample)
