@@ -3,9 +3,9 @@
 An element is written in one-line notation with a color superscript on each
 entry, e.g. ``4^1 1^1 3^2 2^0`` is the permutation 4132 with colors (1,1,2,0)
 taken mod alpha.  The subgroup of constant color shifts (generated by the
-identity permutation with all colors 1) is never materialized; coset logic
-goes through :meth:`ColoredPermutation.canonical_rep` and
-:meth:`ColoredPermutation.same_coset`.
+identity permutation with all colors 1) is never materialized.  Cosets are
+decided by ``_canonical_colors``, the shift to last color 0, which gives
+``canonical_rep`` and, with the window, ``same_coset``.
 
 This module owns the parameter rules: ``_require_int`` (alpha, n, a cap),
 ``_require_color`` (a color, beta, a mark) and ``_require_permutation`` (a
@@ -168,12 +168,9 @@ class ColoredPermutation:
     def same_coset(self, other: "ColoredPermutation") -> bool:
         """True iff the two elements differ by a constant color shift."""
         self._check_compatible(other)
-        if self.window != other.window:
-            return False
         a = self.alpha
-        shift = (self.colors[0] - other.colors[0]) % a
-        return all((c - d) % a == shift
-                   for c, d in zip(self.colors, other.colors))
+        return (self.window == other.window and
+                _canonical_colors(a, self.colors) == _canonical_colors(a, other.colors))
 
     def is_quotient_rep(self) -> bool:
         """True iff the last color is 0."""

@@ -19,6 +19,11 @@ Two computation routes coexist on purpose:
   visiting an element.  The builders share no rule with the per-element
   statistics, and the test suite checks the two routes against each other.
 
+Both routes name a domain by ``beta``: last color beta (0 is the quotient),
+or ``None`` for the full group.  ``_admit`` owns the domain rule: check
+alpha, n and beta, and refuse a domain larger than the cap.  ``_tuples`` is
+the one lexicographic walk of a domain, under every stream and verifier.
+
 One pass serves a whole sweep over n, since after n entries its states hold
 row n: the table and the identity verifiers read every row from it, refused
 up front on the largest domain.  A :class:`StatReport` computes its
@@ -82,10 +87,16 @@ def _check_parameters(alpha: int, n: int) -> None:
     _require_int("n", n, 1)
 
 
-def _guard(count: int, cap: int | None) -> None:
+def _admit(alpha: int, n: int, beta: int | None, cap: int | None) -> None:
+    """The domain rule: check alpha, n and beta (None is the full group),
+    then refuse a domain larger than the resolved cap."""
+    _check_parameters(alpha, n)
+    if beta is not None:
+        _require_color("beta", beta, alpha)
+    size = full_cardinality(alpha, n) if beta is None else quotient_cardinality(alpha, n)
     cap = resolve_cap(cap)
-    if count > cap:
-        raise CapExceededError(count, cap)
+    if size > cap:
+        raise CapExceededError(size, cap)
 
 
 def quotient_cardinality(alpha: int, n: int) -> int:
@@ -139,21 +150,22 @@ class Verification:
 # ---------------------------------------------------------------------------
 # Streams
 
-def _tuples(alpha: int, n: int, beta: int, cap: int | None) -> Iterator[tuple]:
-    """Raw (window, colors) with last color beta, in lex order; checks run on the call."""
-    _check_parameters(alpha, n)
-    _require_color("beta", beta, alpha)
-    _guard(quotient_cardinality(alpha, n), cap)
-    last = (beta,)
-    return ((window, head + last)
+def _tuples(alpha: int, n: int, beta: int | None, cap: int | None) -> Iterator[tuple]:
+    """Raw (window, colors) of the domain, in lex order; admission runs on the call."""
+    _admit(alpha, n, beta, cap)
+    lasts = range(alpha) if beta is None else (beta,)
+    return ((window, colors)
             for window in itertools.permutations(range(1, n + 1))
-            for head in itertools.product(range(alpha), repeat=n - 1))
+            for colors in itertools.product(*[range(alpha)] * (n - 1), lasts))
 
 
 def iterate_fixed_last_color(alpha: int, n: int, beta: int,
                              cap: int | None = None) -> Iterator[ColoredPermutation]:
     """All elements with last color beta, in lexicographic order of
     (window, colors)."""
+    if beta is None:  # a color here, never _admit's name for the full group
+        _check_parameters(alpha, n)
+        _require_color("beta", beta, alpha)
     make = ColoredPermutation._trusted
     for window, colors in _tuples(alpha, n, beta, cap):
         yield make(alpha, window, colors)
@@ -170,11 +182,9 @@ def iterate_full_group(alpha: int, n: int,
                        cap: int | None = None) -> Iterator[ColoredPermutation]:
     """Every element of the group, in lexicographic order of
     (window, colors)."""
-    _guard(full_cardinality(alpha, n), cap)
     make = ColoredPermutation._trusted
-    for window in itertools.permutations(range(1, n + 1)):
-        for colors in itertools.product(range(alpha), repeat=n):
-            yield make(alpha, window, colors)
+    for window, colors in _tuples(alpha, n, None, cap):
+        yield make(alpha, window, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +220,7 @@ def _rows(alpha: int, n_max: int, statistic: str, beta: int | None,
     total less a prefix sum of its own ranks never borrows.  The statistic
     only grows along a prefix, so slots past a row's degree are never read.
     """
-    _guard(full_cardinality(alpha, n_max) if beta is None
-           else quotient_cardinality(alpha, n_max), cap)
+    _admit(alpha, n_max, beta, cap)
     w = full_cardinality(alpha, n_max).bit_length()
     mask = (1 << w) - 1
     flag = statistic == STAT_FLAG
@@ -251,17 +260,10 @@ def _build(alpha: int, n: int, statistic: str, domain: str,
     # Checked on every domain, so a beta that no domain reads is refused
     # rather than ignored.
     _require_color("beta", beta, alpha)
-    if domain == "quotient":
-        fixed: int | None = 0
-        label = "quotient"
-    elif domain == "full":
-        fixed = None
-        label = "full"
-    elif domain == "fixed":
-        fixed = beta
-        label = f"fixed:{beta}"
-    else:
+    if domain not in ("quotient", "full", "fixed"):
         raise ValidationError(f"unknown domain {domain!r}")
+    fixed = {"quotient": 0, "full": None, "fixed": beta}[domain]
+    label = f"fixed:{beta}" if domain == "fixed" else domain
     *_, polynomial = _rows(alpha, n, statistic, fixed, cap)
     return StatReport(alpha, n, statistic, label, polynomial)
 
@@ -391,16 +393,19 @@ def verify_abr_identity(n_max: int, cap: int | None = None) -> list[Verification
 
 def verify_coset_invariance(alpha: int, n: int, cap: int | None = None) -> Verification:
     """Every coset of the color-shift subgroup is one quotient representative
-    with its alpha - 1 nonzero shifts: each shift must canonicalize back to
-    the representative and keep its descent count, and the descent
-    distribution over representatives must match the quotient polynomial.
-    One coset is held at a time, so memory does not grow with the group."""
-    _guard(full_cardinality(alpha, n), cap)
+    with its alpha - 1 nonzero shifts: a shift by s must give last color s,
+    canonicalize back to the representative and keep its descent count, and
+    the descent distribution over representatives must match the quotient
+    polynomial.  One coset is held at a time, so memory does not grow."""
+    _admit(alpha, n, None, cap)
     coeffs = [0] * n
     for window, colors in _tuples(alpha, n, 0, cap):
         count = _descents(window, colors)
         for shift in range(1, alpha):
             shifted = _shift_colors(alpha, colors, shift)
+            if shifted[-1] != shift:
+                return Verification(False, "color shift does not move the last color",
+                                    ColoredPermutation._trusted(alpha, window, colors))
             if _canonical_colors(alpha, shifted) != colors:
                 return Verification(
                     False, "color shift does not canonicalize to its representative",

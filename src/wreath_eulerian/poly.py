@@ -40,8 +40,8 @@ class IntPolynomial:
         if not self.coefficients:
             raise ValueError("coefficient sequence must be nonempty")
         for c in self.coefficients:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"coefficient {c!r} is not an int")
+            if not _is_int(c):
+                raise ValidationError(f"coefficient {c!r} is not an int")
 
     @property
     def nominal_degree(self) -> int:
@@ -86,17 +86,15 @@ def binomial_power(n: int) -> IntPolynomial:
 
 
 def is_palindromic(p: IntPolynomial) -> bool:
-    """a_k == a_{D-k} against the nominal degree D."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no shape")
+    """a_k == a_{D-k} against the nominal degree D, not the trimmed one."""
+    _nonzero_coefficients(p)
     c = p.coefficients
     return c == c[::-1]
 
 
 def is_unimodal(p: IntPolynomial) -> bool:
     """Coefficients rise (weakly) to a peak, then fall (weakly)."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no shape")
+    _nonzero_coefficients(p)
     c = p.coefficients
     i = 1
     while i < len(c) and c[i - 1] <= c[i]:

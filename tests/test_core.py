@@ -272,6 +272,21 @@ class TestCosets:
             if a.same_coset(b) and b.same_coset(c):
                 assert a.same_coset(c)
 
+    @pytest.mark.parametrize("alpha,n", itertools.product(range(1, 4), range(1, 4)))
+    def test_same_coset_is_the_shift_orbit(self, alpha, n):
+        # b is in a's coset iff b = g**s * a for some s, with the powers of
+        # the shift generator g taken by the group product alone.
+        g = color_shift_generator(alpha, n)
+        powers = [identity(alpha, n)]
+        while len(powers) < alpha:
+            powers.append(g * powers[-1])
+        elements = all_elements(alpha, n)
+        for a in elements:
+            coset = {p * a for p in powers}
+            assert len(coset) == alpha
+            for b in elements:
+                assert a.same_coset(b) == (b in coset)
+
     @given(colored_permutations())
     def test_canonical_rep_properties(self, w):
         rep = w.canonical_rep()

@@ -80,8 +80,18 @@ class TestStreams:
             assert len(set(reps)) == len(reps) == quotient_cardinality(alpha, n)
 
     def test_lexicographic_order(self):
-        seen = [(w.window, w.colors) for w in iterate_full_group(2, 3)]
-        assert seen == sorted(seen)
+        # Each stream is sorted, and the full group is the sorted union of
+        # the fixed-last-color streams.
+        for alpha, n in itertools.product(range(1, 4), range(1, 5)):
+            seen = [(w.window, w.colors) for w in iterate_full_group(alpha, n)]
+            assert seen == sorted(seen)
+            union = []
+            for beta in range(alpha):
+                fixed = [(w.window, w.colors)
+                         for w in iterate_fixed_last_color(alpha, n, beta)]
+                assert fixed == sorted(fixed)
+                union += fixed
+            assert seen == sorted(union)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValidationError):
@@ -101,6 +111,39 @@ class TestStreams:
         with pytest.raises(CapExceededError) as exc:
             list(iterate_quotient_reps(2, 9, cap=1000))
         assert exc.value.required == quotient_cardinality(2, 9)
+
+    # Each call reaches the cap on its domain: the full group for the full
+    # stream, the coset verifier and the full report, otherwise the
+    # elements with one last color.  Only the beta-reading calls vary beta.
+    ADMITTED = {
+        "full-stream": (True, False,
+                        lambda a, n, b, cap: next(iterate_full_group(a, n, cap=cap))),
+        "quotient-stream": (False, False,
+                            lambda a, n, b, cap: next(iterate_quotient_reps(a, n, cap=cap))),
+        "fixed-stream": (False, True,
+                         lambda a, n, b, cap: next(iterate_fixed_last_color(a, n, b, cap=cap))),
+        "symmetry": (False, False, lambda a, n, b, cap: verify_symmetry(a, n, cap=cap).ok),
+        "involution": (False, False, lambda a, n, b, cap: verify_involution(a, n, cap=cap).ok),
+        "coset-invariance": (True, False,
+                             lambda a, n, b, cap: verify_coset_invariance(a, n, cap=cap).ok),
+        "report-quotient": (False, False,
+                            lambda a, n, b, cap: stat_report(a, n, "flag", "quotient", cap=cap)),
+        "report-full": (True, False,
+                        lambda a, n, b, cap: stat_report(a, n, "flag", "full", cap=cap)),
+        "report-fixed": (False, True, lambda a, n, b, cap: stat_report(
+            a, n, "colored-descent", "fixed", beta=b, cap=cap)),
+    }
+
+    @pytest.mark.parametrize("alpha,n", [(1, 3), (2, 1), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("name", list(ADMITTED))
+    def test_cap_admits_exactly_the_domain(self, name, alpha, n):
+        full, reads_beta, call = self.ADMITTED[name]
+        size = (full_cardinality if full else quotient_cardinality)(alpha, n)
+        for beta in range(alpha) if reads_beta else (0,):
+            with pytest.raises(CapExceededError) as exc:
+                call(alpha, n, beta, size - 1)
+            assert (exc.value.required, exc.value.cap) == (size, size - 1)
+            assert call(alpha, n, beta, size)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("WREATH_CAP", "10")
@@ -167,10 +210,11 @@ class TestUncheckedConstruction:
         with pytest.raises(ValidationError):
             parse(2, "1^0 1^0")
 
-    @pytest.mark.parametrize("beta", [True, 1.0])
+    @pytest.mark.parametrize("beta", [True, 1.0, None])
     def test_stream_checks_beta_before_it_yields(self, beta):
         # A beta equal to a valid color but not an int would otherwise
-        # reach the unchecked elements, which would print as 1^0 2^True.
+        # reach the unchecked elements, which would print as 1^0 2^True;
+        # None, the full group's name inside the module, is no color either.
         with pytest.raises(ValidationError):
             next(iterate_fixed_last_color(2, 2, beta))
 
@@ -443,6 +487,14 @@ class TestVerifiers:
         assert not result.ok
         assert result.counterexample is not None
 
+    def test_coset_invariance_catches_a_shift_that_does_nothing(self, monkeypatch):
+        # Every "shift" would canonicalize back and keep its descent count.
+        monkeypatch.setattr(enumeration, "_shift_colors", lambda alpha, colors, shift: colors)
+        result = verify_coset_invariance(3, 4)
+        assert not result.ok
+        assert result.description == "color shift does not move the last color"
+        assert result.counterexample == identity(3, 4)
+
     @pytest.mark.parametrize("broken", [lambda alpha, window, colors: (window, colors),
                                         rotate_window],
                              ids=["identity", "rotation"])
@@ -523,8 +575,10 @@ class TestKernels:
         (verify_coset_invariance, "_shift_colors",
          lambda alpha, colors, shift: colors[:-1] + ((colors[-1] + shift) % alpha,)),
         (verify_coset_invariance, "_descents", lambda window, colors: colors[0]),
+        (verify_coset_invariance, "_shift_colors", lambda alpha, colors, shift: colors),
     ], ids=["symmetry-identity", "symmetry-rotation", "symmetry-flag",
-            "involution-rotation", "coset-canonical", "coset-shift", "coset-descents"])
+            "involution-rotation", "coset-canonical", "coset-shift", "coset-descents",
+            "coset-no-shift"])
     def test_broken_kernel_counterexample_is_checked(self, monkeypatch, verify,
                                                      kernel, broken):
         # Counterexamples are the only elements the verifiers build.

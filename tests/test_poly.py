@@ -119,6 +119,10 @@ class TestRingOperations:
         with pytest.raises(ValueError):
             IntPolynomial(coeffs)
 
+    def test_non_integer_coefficient_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="coefficient 1.5 is not an int"):
+            IntPolynomial((1.5, 2))
+
     @given(small_polys, small_polys, small_polys)
     def test_ring_laws(self, p, q, r):
         assert (p + q).coefficients == (q + p).coefficients
