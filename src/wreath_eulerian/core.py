@@ -22,8 +22,6 @@ of the stream verifiers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class ValidationError(ValueError):
     """Malformed element data or mismatched group parameters."""
@@ -76,8 +74,43 @@ def _canonical_colors(alpha: int, colors: tuple) -> tuple:
     return _shift_colors(alpha, colors, -colors[-1])
 
 
-@dataclass(frozen=True, slots=True)
-class ColoredPermutation:
+class _Record:
+    """Immutable value whose ``__slots__`` name its fields in order.  Its
+    ``__init__`` sets them through the slot descriptors, since assignment
+    is refused.  Equality (same class only), hash, repr, ``match`` and
+    pickling read the fields; unpickling and ``copy`` rerun ``__init__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class ColoredPermutation(_Record):
     """An element of Z_alpha wr S_n.
 
     ``window`` is the underlying permutation of {1..n} in one-line notation;
@@ -87,25 +120,27 @@ class ColoredPermutation:
     known to be valid.
     """
 
-    alpha: int
-    window: tuple[int, ...]
-    colors: tuple[int, ...]
+    __slots__ = ("alpha", "window", "colors")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.window, tuple):
-            object.__setattr__(self, "window", _as_tuple("window", self.window))
-        if not isinstance(self.colors, tuple):
-            object.__setattr__(self, "colors", _as_tuple("colors", self.colors))
-        _require_int("alpha", self.alpha, 1)
-        n = len(self.window)
+    def __init__(self, alpha: int, window: tuple[int, ...],
+                 colors: tuple[int, ...]) -> None:
+        if not isinstance(window, tuple):
+            window = _as_tuple("window", window)
+        if not isinstance(colors, tuple):
+            colors = _as_tuple("colors", colors)
+        _require_int("alpha", alpha, 1)
+        n = len(window)
         if n < 1:
             raise ValidationError("window must be nonempty")
-        if len(self.colors) != n:
+        if len(colors) != n:
             raise ValidationError(
-                f"window has {n} entries but colors has {len(self.colors)}")
-        _require_permutation("window", self.window)
-        for c in self.colors:
-            _require_color("color", c, self.alpha)
+                f"window has {n} entries but colors has {len(colors)}")
+        _require_permutation("window", window)
+        for c in colors:
+            _require_color("color", c, alpha)
+        _set_alpha(self, alpha)
+        _set_window(self, window)
+        _set_colors(self, colors)
 
     @classmethod
     def _trusted(cls, alpha: int, window: tuple[int, ...],
@@ -184,32 +219,35 @@ _set_window = ColoredPermutation.window.__set__
 _set_colors = ColoredPermutation.colors.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class GenPermMatrix:
+class GenPermMatrix(_Record):
     """n x n generalized permutation matrix with root-of-unity entries.
 
     Stored exactly: ``entries[j]`` is the pair (row, exponent) of the single
-    nonzero entry zeta^exponent in column j+1.  The root of unity is never
-    evaluated; products are exponent additions mod alpha.
+    nonzero entry zeta^exponent in column j+1, each entry a tuple whatever
+    sequence it was given as.  The root of unity is never evaluated;
+    products are exponent additions mod alpha.
     """
 
-    alpha: int
-    size: int
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ("alpha", "size", "entries")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", _as_tuple("entries", self.entries))
-        _require_int("alpha", self.alpha, 1)
-        _require_int("size", self.size, 1)
-        if len(self.entries) != self.size:
+    def __init__(self, alpha: int, size: int,
+                 entries: tuple[tuple[int, int], ...]) -> None:
+        if not isinstance(entries, tuple):
+            entries = _as_tuple("entries", entries)
+        _require_int("alpha", alpha, 1)
+        _require_int("size", size, 1)
+        if len(entries) != size:
             raise ValidationError("one entry required per column")
-        for entry in self.entries:
+        for entry in entries:
             if len(_as_tuple("entry", entry)) != 2:
                 raise ValidationError(f"entry {entry!r} is not a (row, exponent) pair")
-        _require_permutation("rows", [r for r, _ in self.entries])
-        for _, e in self.entries:
-            _require_color("exponent", e, self.alpha)
+        entries = tuple([tuple(entry) for entry in entries])
+        _require_permutation("rows", [r for r, _ in entries])
+        for _, e in entries:
+            _require_color("exponent", e, alpha)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "entries", entries)
 
     def __mul__(self, other: "GenPermMatrix") -> "GenPermMatrix":
         if self.alpha != other.alpha or self.size != other.size:

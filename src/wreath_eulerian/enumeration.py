@@ -38,11 +38,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .core import (ColoredPermutation, ValidationError, _canonical_colors, _is_int,
-                   _require_color, _require_int, _shift_colors)
+from .core import (ColoredPermutation, ValidationError, _Record, _canonical_colors,
+                   _is_int, _require_color, _require_int, _shift_colors)
 from .poly import IntPolynomial, binomial_power, is_palindromic, is_real_rooted, is_unimodal
 from .stats import (_descents, _flag, _reversal, colored_descent_count, flag_descent,
                     reversal_map)  # public names kept for callers that wrap them
@@ -109,17 +108,20 @@ def full_cardinality(alpha: int, n: int) -> int:
     return alpha**n * math.factorial(n)
 
 
-@dataclass(frozen=True, slots=True)
-class StatReport:
+class StatReport(_Record):
     """One statistic's distribution over one domain.  The cardinality and
     the shape verdicts are computed from the polynomial each time they are
     read, so a caller that only wants the coefficients pays for none."""
 
-    alpha: int
-    n: int
-    statistic: str
-    domain: str
-    polynomial: IntPolynomial
+    __slots__ = ("alpha", "n", "statistic", "domain", "polynomial")
+
+    def __init__(self, alpha: int, n: int, statistic: str, domain: str,
+                 polynomial: IntPolynomial) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "statistic", statistic)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "polynomial", polynomial)
 
     @property
     def cardinality(self) -> int:
@@ -138,13 +140,16 @@ class StatReport:
         return is_real_rooted(self.polynomial)
 
 
-@dataclass(frozen=True, slots=True)
-class Verification:
+class Verification(_Record):
     """Outcome of an identity check; counterexample is set on failure."""
 
-    ok: bool
-    description: str
-    counterexample: ColoredPermutation | None = None
+    __slots__ = ("ok", "description", "counterexample")
+
+    def __init__(self, ok: bool, description: str,
+                 counterexample: ColoredPermutation | None = None) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "counterexample", counterexample)
 
 
 # ---------------------------------------------------------------------------

@@ -17,31 +17,29 @@ point anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import ValidationError, _as_tuple, _is_int, _require_int
+from .core import ValidationError, _Record, _as_tuple, _is_int, _require_int
 
 #: Sentinels for unbounded interval ends in root counting.
 NEG_INF = object()
 POS_INF = object()
 
 
-@dataclass(frozen=True, slots=True)
-class IntPolynomial:
+class IntPolynomial(_Record):
     """Dense integer polynomial a_0 + a_1 x + ... + a_D x^D with explicit
     nominal degree D = len(coefficients) - 1."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coefficients, tuple):
-            object.__setattr__(self, "coefficients",
-                               _as_tuple("coefficients", self.coefficients))
-        if not self.coefficients:
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        if not isinstance(coefficients, tuple):
+            coefficients = _as_tuple("coefficients", coefficients)
+        if not coefficients:
             raise ValueError("coefficient sequence must be nonempty")
-        for c in self.coefficients:
+        for c in coefficients:
             if not _is_int(c):
                 raise ValidationError(f"coefficient {c!r} is not an int")
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def nominal_degree(self) -> int:

@@ -7,27 +7,25 @@ trace a clock hand across the color marks and count visits to a chosen mark.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import (ColoredPermutation, ValidationError, _as_tuple, _canonical_colors,
-                   _require_color, _require_int)
+from .core import (ColoredPermutation, ValidationError, _Record, _as_tuple,
+                   _canonical_colors, _require_color, _require_int)
 
 
-@dataclass(frozen=True, slots=True)
-class ColorSequence:
+class ColorSequence(_Record):
     """A bare color vector in (Z_alpha)^n, the input of winding numbers."""
 
-    alpha: int
-    colors: tuple[int, ...]
+    __slots__ = ("alpha", "colors")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.colors, tuple):
-            object.__setattr__(self, "colors", _as_tuple("colors", self.colors))
-        _require_int("alpha", self.alpha, 1)
-        if not self.colors:
+    def __init__(self, alpha: int, colors: tuple[int, ...]) -> None:
+        if not isinstance(colors, tuple):
+            colors = _as_tuple("colors", colors)
+        _require_int("alpha", alpha, 1)
+        if not colors:
             raise ValidationError("color sequence must be nonempty")
-        for c in self.colors:
-            _require_color("color", c, self.alpha)
+        for c in colors:
+            _require_color("color", c, alpha)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "colors", colors)
 
 
 def colored_descent_set(w: ColoredPermutation) -> frozenset[int]:

@@ -302,6 +302,22 @@ def run_process(cwd, *argv, cap_env=None):
         capture_output=True, text=True, env=env, cwd=cwd, timeout=60)
 
 
+class TestStartup:
+    def test_import_loads_no_heavy_modules(self, tmp_path):
+        """Every run imports the CLI, so what that import pulls in is paid
+        by every process.  -S keeps site's own imports out of the count."""
+        heavy = ("dataclasses", "inspect", "typing", "fractions", "decimal")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, wreath_eulerian.cli; "
+                f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=env, cwd=tmp_path, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
+
 class TestFailurePaths:
     @pytest.mark.parametrize("argv,cap_env,needle", [
         (("poly", "--alpha", "2", "--n", "3", "--out",

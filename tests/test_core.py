@@ -227,6 +227,16 @@ class TestMatrixRepresentation:
         with pytest.raises(ValidationError):
             a * b
 
+    def test_list_entries_are_stored_as_tuples(self):
+        # The matrix of 2^0 1^1: column 1 holds zeta^0 at row 2.
+        from_lists = GenPermMatrix(2, 2, [[2, 0], [1, 1]])
+        from_tuples = GenPermMatrix(2, 2, ((2, 0), (1, 1)))
+        assert from_lists.entries == ((2, 0), (1, 1))
+        assert all(type(entry) is tuple for entry in from_lists.entries)
+        assert from_lists == from_tuples
+        assert hash(from_lists) == hash(from_tuples)
+        assert ColoredPermutation(2, [2, 1], [0, 1]).to_matrix() == from_lists
+
 
 class TestCosets:
     def test_canonical_rep_shifts_last_color_to_zero(self):
