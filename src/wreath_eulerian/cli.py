@@ -7,9 +7,9 @@ timestamps in data payloads, coefficients rendered as decimal strings so
 arbitrary precision survives JSON consumers.
 
 The library checks every parameter and resolves the cap (``--cap``, else
-``WREATH_CAP``, else the default); the CLI checks only that a sweep
-(``--max-n``, ``--max-k``) has rows and that ``verify`` gets no flag its
-target does not read.  Each report renders from one record,
+``WREATH_CAP``, else the default); the parser checks only that a sweep
+(``--max-n``, ``--max-k``) has rows and gives each ``verify`` target only
+the flags it reads.  Each report renders from one record,
 :func:`_record`, which reads the shape verdicts once; each runner returns
 its text and exit status, and :func:`main` alone writes the text.
 
@@ -25,7 +25,7 @@ import io
 import json
 import sys
 
-from .core import ValidationError, _require_int
+from .core import ValidationError
 from .enumeration import (
     STAT_DESCENT,
     STAT_FLAG,
@@ -47,11 +47,6 @@ EXIT_CAP = 3
 
 _STAT_NAMES = {"descent": STAT_DESCENT, "flag": STAT_FLAG}
 
-# The flags each ``verify`` target reads; setting any other is a usage error.
-_VERIFY_FLAGS = {"symmetry": ("alpha", "n"), "product-identity": ("max_k",),
-                 "abr-identity": ("max_n",), "coset-invariance": ("alpha", "n"),
-                 "involution": ("alpha", "n")}
-
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad argument as one ``error:`` line, like every other usage
@@ -59,6 +54,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise ValidationError(message)
+
+
+def _sweep_bound(text: str) -> int:
+    """A sweep bound (``--max-n``, ``--max-k``) is at least 1: the sweep has rows."""
+    try:
+        bound = int(text)
+    except ValueError:  # argparse's own wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if bound < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {bound}")
+    return bound
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,21 +99,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="flag count table over the quotient")
     p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_sweep_bound, required=True)
     common(p, _run_table)
 
-    p = sub.add_parser("verify", help="identity verification sweeps")
-    p.add_argument("target", choices=tuple(_VERIFY_FLAGS))
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--max-k", type=int, default=None)
-    common(p, _run_verify, formats=("text",))
+    # Each verify target takes only the flags its verifier reads, in argument
+    # order; built per call, so a verifier rebound on this module is used.
+    targets = sub.add_parser("verify", help="identity verification sweeps"
+                             ).add_subparsers(dest="target", required=True)
+    walk = {"--alpha": int, "--n": int}
+    for target, verifier, flags in (
+            ("symmetry", verify_symmetry, walk),
+            ("product-identity", verify_product_identity, {"--max-k": _sweep_bound}),
+            ("abr-identity", verify_abr_identity, {"--max-n": _sweep_bound}),
+            ("coset-invariance", verify_coset_invariance, walk),
+            ("involution", verify_involution, walk)):
+        p = targets.add_parser(target)
+        p.set_defaults(verifier=verifier, reads=[p.add_argument(
+            flag, type=kind, required=True).dest for flag, kind in flags.items()])
+        common(p, _run_verify, formats=("text",))
 
     p = sub.add_parser("report", help="shape verdicts for the flag "
                                       "polynomial over the quotient")
     p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_sweep_bound, required=True)
     common(p, _run_report)
     return parser
 
@@ -178,7 +192,6 @@ def _run_poly(args) -> tuple[str, int]:
 
 
 def _run_table(args) -> tuple[str, int]:
-    _require_int("max-n", args.max_n, 1)
     rows = flag_table(args.alpha, args.max_n, cap=args.cap)
     triples = [(n, k, str(c))
                for n, row in enumerate(rows, start=1)
@@ -190,24 +203,10 @@ def _run_table(args) -> tuple[str, int]:
 
 
 def _run_verify(args) -> tuple[str, int]:
-    for flag in ("alpha", "n", "max_n", "max_k"):
-        if getattr(args, flag) is not None and flag not in _VERIFY_FLAGS[args.target]:
-            raise ValidationError(f"verify {args.target} does not read "
-                                  f"--{flag.replace('_', '-')}")
-    if args.target == "product-identity":
-        _require_int("max-k", args.max_k, 1)
-        results = verify_product_identity(args.max_k, cap=args.cap)
-    elif args.target == "abr-identity":
-        _require_int("max-n", args.max_n, 1)
-        results = verify_abr_identity(args.max_n, cap=args.cap)
-    else:
-        # Looked up per call, so a name rebound on this module is honoured.
-        walk = {"symmetry": verify_symmetry, "involution": verify_involution,
-                "coset-invariance": verify_coset_invariance}[args.target]
-        results = [walk(args.alpha, args.n, cap=args.cap)]
+    results = args.verifier(*[getattr(args, name) for name in args.reads], cap=args.cap)
     lines = []
     status = EXIT_OK
-    for result in results:
+    for result in results if isinstance(results, list) else [results]:
         if result.ok:
             lines.append(f"PASS {result.description}")
         else:
@@ -220,7 +219,6 @@ def _run_verify(args) -> tuple[str, int]:
 
 
 def _run_report(args) -> tuple[str, int]:
-    _require_int("max-n", args.max_n, 1)
     table = flag_table(args.alpha, args.max_n, cap=args.cap)
     records = [_record("report", StatReport(args.alpha, n, STAT_FLAG,
                                             "quotient", polynomial), "flag")

@@ -217,7 +217,8 @@ def _rows(alpha: int, n_max: int, statistic: str, beta: int | None,
     each state carries the statistic's distribution over those prefixes, and
     the domain's last colors sum to row n.  A next entry of rank k among
     n + 1 values lies below the previous entry of rank j iff j >= k, so
-    prefix sums over j give each step in O(alpha * n) additions.
+    prefix sums over j, and over the colors for a change of color, give
+    each step in O(alpha * n) big-integer operations.
 
     A distribution is one int, its value at x = 2^w with w the bit length of
     alpha^n_max * n_max!: coefficient k is bits [k*w, (k+1)*w).  Every slot
@@ -234,22 +235,26 @@ def _rows(alpha: int, n_max: int, statistic: str, beta: int | None,
     states = [[1 << w * c if flag else 1] for c in range(alpha)]
     for n in range(1, n_max + 1):
         totals = [sum(column) for column in states]
-        row = sum(totals) if beta is None else totals[beta]
+        grand = sum(totals)
+        row = grand if beta is None else totals[beta]
         yield IntPolynomial(tuple(
             row >> w * k & mask
             for k in range(_nominal_degree(alpha, n, statistic, beta) + 1)))
         if n == n_max:
             return
         new_states = []
-        for d in range(alpha):
-            # From another color: flag adds alpha on a color ascent,
-            # colored descents add 1 on any change.
-            cross = sum(totals[c] << w * ((alpha if c < d else 0) if flag else 1)
-                        for c in range(alpha) if c != d)
+        lower = 0  # the totals of the colors below d
+        for d, total in enumerate(totals):
+            # From another color: flag adds alpha on a color ascent (from
+            # below d) and nothing from above; colored descents add 1 on any
+            # change.
+            cross = ((lower << w * alpha) + grand - lower - total if flag
+                     else (grand - total) << w)
+            lower += total
             # Same color: below sums the previous ranks j < k, which add
             # nothing; the ranks j >= k are window descents and add step.
             new_states.append([
-                cross + below + ((totals[d] - below) << w * step)
+                cross + below + ((total - below) << w * step)
                 for below in itertools.accumulate(states[d], initial=0)])
         states = new_states
 

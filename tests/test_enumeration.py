@@ -11,6 +11,7 @@ from wreath_eulerian import enumeration
 from wreath_eulerian import (
     CapExceededError,
     ColoredPermutation,
+    IntPolynomial,
     ValidationError,
     binomial_power,
     classical_eulerian,
@@ -587,3 +588,66 @@ class TestKernels:
             result = verify(alpha, n)
             assert not result.ok
             assert_checked(result.counterexample)
+
+
+def power(p, exponent):
+    out = IntPolynomial((1,))
+    for _ in range(exponent):
+        out = out * p
+    return out
+
+
+class TestClosedForms:
+    """Every row the builder gives has a closed form at every alpha.  With
+    [alpha] = 1 + x + ... + x^(alpha-1) and A_n the Eulerian polynomial from
+    the triangle recurrence:
+
+    * flag: x^beta [alpha]^(n-1) A_n at last color beta (the quotient is
+      beta = 0), and [alpha]^n A_n on the full group;
+    * colored descents: D_n = sum_k A(n,k) (alpha x)^k (1+(alpha-1)x)^(n-1-k)
+      at every last color, and alpha D_n on the full group.
+
+    They share no code with the transfer matrix, so they pin its every
+    coefficient, where row sums and palindromy do not."""
+
+    N_MAX = 10
+
+    @staticmethod
+    def expected(alpha, n, statistic, beta):
+        eulerian = classical_eulerian(n)
+        if statistic == "flag":
+            bracket = IntPolynomial((1,) * alpha)
+            if beta is None:
+                return power(bracket, n) * eulerian
+            return IntPolynomial((0,) * beta + (1,)) * power(bracket, n - 1) * eulerian
+        descents = IntPolynomial((0,))
+        for k, count in enumerate(eulerian.coefficients):
+            descents = descents + IntPolynomial((0,) * k + (count * alpha**k,)) \
+                * power(IntPolynomial((1, alpha - 1)), n - 1 - k)
+        return descents if beta is not None else IntPolynomial((alpha,)) * descents
+
+    @pytest.mark.parametrize("alpha", range(1, 9))
+    def test_rows_match_closed_forms(self, alpha):
+        cap = full_cardinality(alpha, self.N_MAX)
+        for statistic in ("flag", "colored-descent"):
+            for beta in (None, *range(alpha)):
+                rows = enumeration._rows(alpha, self.N_MAX, statistic, beta, cap)
+                for n, row in enumerate(rows, start=1):
+                    assert row.coefficients == \
+                        self.expected(alpha, n, statistic, beta).coefficients, \
+                        (statistic, beta, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.integers(1, 6), n=st.integers(1, 6), data=st.data())
+    def test_flag_lemma_pointwise(self, alpha, n, data):
+        """flag(w) = c_n + alpha * cdes(w) - sum_i ((c_{i+1} - c_i) mod alpha)
+        on the raw tuples of the walk, over the full group and every last
+        color."""
+        beta = data.draw(st.none() | st.integers(0, alpha - 1), label="beta")
+        size = (full_cardinality if beta is None else quotient_cardinality)(alpha, n)
+        start = data.draw(st.integers(0, size - 1), label="start")
+        walk = enumeration._tuples(alpha, n, beta, size)
+        for window, colors in itertools.islice(walk, start, start + 100):
+            winding = sum((b - a) % alpha for a, b in zip(colors, colors[1:]))
+            assert enumeration._flag(alpha, window, colors) == \
+                colors[-1] + alpha * enumeration._descents(window, colors) - winding
