@@ -11,13 +11,14 @@ Two computation routes coexist on purpose:
   element only for a counterexample;
 * the polynomial builders count by the transfer-matrix method (Stanley,
   *Enumerative Combinatorics I*, section 4.7).  Both the colored descent
-  count and the flag statistic add up over adjacent pairs (does the window
+  count and the flag statistic count adjacent pairs (does the window
   descend there, and how do the two colors compare), so placing entries
-  left to right with the state (last color, rank of the last entry among
-  those placed so far), each carrying its distribution packed into one
-  integer, gives the coefficients in time polynomial in alpha and n, never
-  visiting an element.  The builders share no rule with the per-element
-  statistics, and the test suite checks the two routes against each other.
+  right to left with the state (first color, rank of the first entry among
+  those placed so far), each carrying its distribution of counted pairs
+  packed into one integer, gives the coefficients in time and memory
+  polynomial in alpha and n, never visiting an element.  The builders
+  share no rule with the per-element statistics, and the test suite checks
+  the two routes against each other.
 
 Both routes name a domain by ``beta``: last color beta (0 is the quotient),
 or ``None`` for the full group.  ``_admit`` owns the domain rule: check
@@ -212,49 +213,47 @@ def _rows(alpha: int, n_max: int, statistic: str, beta: int | None,
     group, otherwise fixed last color) for each n = 1..n_max, from one pass
     that the cap refuses up front on the largest domain.
 
-    Entries are placed left to right.  After n entries the state is (c, r):
-    the last entry's color c and its rank r among the first n window values;
-    each state carries the statistic's distribution over those prefixes, and
-    the domain's last colors sum to row n.  A next entry of rank k among
-    n + 1 values lies below the previous entry of rank j iff j >= k, so
-    prefix sums over j, and over the colors for a change of color, give
-    each step in O(alpha * n) big-integer operations.
+    Entries are placed right to left from the domain's last entry.  After n
+    entries the state is (c, r): the first entry's color c and its rank r
+    among the n window values; each state carries the distribution of the
+    counted adjacent pairs over those suffixes.  A new first entry of color
+    d and rank k among n + 1 values counts its pair with the old first entry
+    (color c, rank j) if c != d for colored descents, if c > d for flag, and
+    for both if c == d and j < k, a window descent.  Prefix sums over j, and
+    a running sum over the colors, give each step in O(alpha * n)
+    big-integer operations.  Colored descents read row n off the sum of all
+    states; flag, the first color plus alpha per counted pair, reads its
+    coefficient e off slot e // alpha of color e % alpha's total.
 
     A distribution is one int, its value at x = 2^w with w the bit length of
     alpha^n_max * n_max!: coefficient k is bits [k*w, (k+1)*w).  Every slot
-    counts at most that many colored prefixes, so sums never carry, and a
-    total less a prefix sum of its own ranks never borrows.  The statistic
-    only grows along a prefix, so slots past a row's degree are never read.
+    counts at most that many colored suffixes, so sums never carry, and a
+    total less a prefix sum of its own ranks never borrows.
     """
     _admit(alpha, n_max, beta, cap)
     w = full_cardinality(alpha, n_max).bit_length()
     mask = (1 << w) - 1
     flag = statistic == STAT_FLAG
-    step = alpha if flag else 1
-    # states[c][r]; the first color seeds the flag value.
-    states = [[1 << w * c if flag else 1] for c in range(alpha)]
+    # states[c][r], seeded with the domain's last entry.
+    states = [[1 if beta is None or c == beta else 0] for c in range(alpha)]
     for n in range(1, n_max + 1):
         totals = [sum(column) for column in states]
         grand = sum(totals)
-        row = grand if beta is None else totals[beta]
         yield IntPolynomial(tuple(
-            row >> w * k & mask
-            for k in range(_nominal_degree(alpha, n, statistic, beta) + 1)))
+            (totals[e % alpha] >> w * (e // alpha) if flag else grand >> w * e) & mask
+            for e in range(_nominal_degree(alpha, n, statistic, beta) + 1)))
         if n == n_max:
             return
         new_states = []
-        lower = 0  # the totals of the colors below d
+        above = grand  # the totals of the colors above d
         for d, total in enumerate(totals):
-            # From another color: flag adds alpha on a color ascent (from
-            # below d) and nothing from above; colored descents add 1 on any
-            # change.
-            cross = ((lower << w * alpha) + grand - lower - total if flag
-                     else (grand - total) << w)
-            lower += total
-            # Same color: below sums the previous ranks j < k, which add
-            # nothing; the ranks j >= k are window descents and add step.
+            above -= total
+            # From another color: flag counts a color ascent, to an old
+            # first color above d; colored descents count any change.
+            cross = (above << w) + grand - above - total if flag else (grand - total) << w
+            # Same color: below sums the old ranks j < k, each a window descent.
             new_states.append([
-                cross + below + ((total - below) << w * step)
+                cross + (below << w) + total - below
                 for below in itertools.accumulate(states[d], initial=0)])
         states = new_states
 

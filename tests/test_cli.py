@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from wreath_eulerian import enumeration
+from wreath_eulerian import IntPolynomial, enumeration
 from wreath_eulerian.cli import main
 
 
@@ -163,6 +163,25 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "involution",
                            "--alpha", "2", "--n", "4")
         assert code == 0
+
+    def test_counterexample_exits_1(self, capsys, monkeypatch):
+        # A window rotation keeps the last color 0 but breaks the pairing.
+        monkeypatch.setattr(enumeration, "_reversal",
+                            lambda alpha, window, colors: (window[1:] + window[:1], colors))
+        code, out, _ = run(capsys, "verify", "symmetry", "--alpha", "2", "--n", "3")
+        assert code == 1
+        assert out.splitlines() == ["FAIL flag(w) + flag(r(w)) != 4",
+                                    "counterexample: 1^0 2^0 3^0"]
+
+    def test_identity_sweep_stops_at_the_first_failure(self, capsys, monkeypatch):
+        eulerian = enumeration.classical_eulerian
+        monkeypatch.setattr(enumeration, "classical_eulerian", lambda n:
+                            eulerian(n) + IntPolynomial((1,)) if n >= 3 else eulerian(n))
+        code, out, _ = run(capsys, "verify", "abr-identity", "--max-n", "4")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines] == ["PASS", "PASS", "FAIL"]
+        assert lines[2].startswith("FAIL n=3: ")
 
     def test_missing_parameters(self, capsys):
         code, _, err = run(capsys, "verify", "symmetry")
@@ -339,6 +358,7 @@ class TestFailurePaths:
          None, "--alpha"),
         (("verify", "symmetry", "--alpha", "2", "--n", "3", "--max-k", "0"),
          None, "--max-k"),
+        (("table", "--alpha", "2", "--max-n", "x"), None, "--max-n"),
     ])
     def test_one_line_usage_error(self, tmp_path, argv, cap_env, needle):
         proc = run_process(tmp_path, *argv, cap_env=cap_env)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from conftest import stream_distribution
@@ -361,6 +362,21 @@ class TestFlagTable:
                     if statistic == "flag" and beta == 0:
                         assert is_palindromic(row)
 
+    # A state carries the distribution of counted pairs, at most n slots,
+    # so the alpha * n states of a pass hold O(alpha * n^2) slots and the
+    # builder's memory grows linearly in alpha.
+    @pytest.mark.parametrize("alpha,n_max", [(3000, 1), (1000, 2)])
+    def test_builder_memory_grows_like_alpha_n(self, alpha, n_max):
+        cap = quotient_cardinality(alpha, n_max)
+        tracemalloc.start()
+        try:
+            rows = list(enumeration._rows(alpha, n_max, "flag", 0, cap))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows[-1].evaluate(1) == cap
+        assert peak < 2 * 2**20, f"peak {peak} bytes"
+
     def test_empty_range_rejected(self):
         # The verifiers' sweep rule: a bound below 1 is the empty sweep,
         # refused by no cap, and a bound that is not an int is rejected
@@ -504,6 +520,28 @@ class TestVerifiers:
         result = verify_symmetry(2, 3)
         assert not result.ok
         assert result.counterexample == identity(2, 3)
+
+    def test_symmetry_catches_a_polynomial_that_is_not_palindromic(self, monkeypatch):
+        # Every pointwise pair sums right, so only the polynomial can fail.
+        monkeypatch.setattr(
+            enumeration, "flag_eulerian_quotient", lambda alpha, n, cap=None:
+            enumeration.StatReport(alpha, n, "flag", "quotient", IntPolynomial((1, 2))))
+        result = verify_symmetry(2, 3)
+        assert not result.ok
+        assert result.description == "flag polynomial is not palindromic"
+        assert result.counterexample is None
+
+    def test_coset_invariance_catches_a_wrong_quotient_row(self, monkeypatch):
+        row = colored_eulerian(2, 3).polynomial
+        wrong = IntPolynomial(row.coefficients[:-1] + (row.coefficients[-1] + 1,))
+        monkeypatch.setattr(
+            enumeration, "colored_eulerian", lambda alpha, n, cap=None:
+            enumeration.StatReport(alpha, n, "colored-descent", "quotient", wrong))
+        result = verify_coset_invariance(2, 3)
+        assert not result.ok
+        assert result.description.startswith(
+            "descent distribution over representatives differs")
+        assert result.counterexample is None
 
     def test_involution_catches_wrong_reversal_map(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_reversal", rotate_window)
