@@ -8,7 +8,10 @@ Two computation routes coexist on purpose:
   semantics, built without revalidation since their fields are valid by
   construction.  The symmetry, involution and coset verifiers walk the raw
   (window, colors) tuples through the statistics' own kernels and build an
-  element only for a counterexample;
+  element only for a counterexample.  They walk colorings first, windows
+  inside, so a kernel that reads only the colors runs once per coloring and
+  one that reads both once per element; a counterexample is the first
+  failing element in (colors, window) order;
 * the polynomial builders count by the transfer-matrix method (Stanley,
   *Enumerative Combinatorics I*, section 4.7).  Both the colored descent
   count and the flag statistic count adjacent pairs (does the window
@@ -22,8 +25,10 @@ Two computation routes coexist on purpose:
 
 Both routes name a domain by ``beta``: last color beta (0 is the quotient),
 or ``None`` for the full group.  ``_admit`` owns the domain rule: check
-alpha, n and beta, and refuse a domain larger than the cap.  ``_tuples`` is
-the one lexicographic walk of a domain, under every stream and verifier.
+alpha, n and beta, and refuse a domain larger than the cap.  A domain is
+the product of two factors, ``_windows`` and ``_colorings``: ``_tuples`` is
+their lexicographic (window, colors) product under every stream, and the
+verifiers walk the same two factors colorings first.
 
 One pass serves a whole sweep over n, since after n entries its states hold
 row n: the table and the identity verifiers read every row from it, refused
@@ -44,8 +49,9 @@ from collections.abc import Iterator
 from .core import (ColoredPermutation, ValidationError, _Record, _canonical_colors,
                    _is_int, _require_color, _require_int, _shift_colors)
 from .poly import IntPolynomial, binomial_power, is_palindromic, is_real_rooted, is_unimodal
-from .stats import (_descents, _flag, _reversal, colored_descent_count, flag_descent,
-                    reversal_map)  # public names kept for callers that wrap them
+from .stats import _descents, _flag, _reversed_colors, _reversed_window
+# Not called here; kept for callers that wrap or read them.
+from .stats import _reversal, colored_descent_count, flag_descent, reversal_map
 
 DEFAULT_CAP = 10**9
 
@@ -156,13 +162,23 @@ class Verification(_Record):
 # ---------------------------------------------------------------------------
 # Streams
 
+def _windows(n: int) -> Iterator[tuple]:
+    """Every window of length n, in lex order, from the identity."""
+    return itertools.permutations(range(1, n + 1))
+
+
+def _colorings(alpha: int, n: int, beta: int | None) -> Iterator[tuple]:
+    """Every coloring of the domain, in lex order: last color beta, or any
+    last color on the full group (beta None)."""
+    lasts = range(alpha) if beta is None else (beta,)
+    return itertools.product(*[range(alpha)] * (n - 1), lasts)
+
+
 def _tuples(alpha: int, n: int, beta: int | None, cap: int | None) -> Iterator[tuple]:
     """Raw (window, colors) of the domain, in lex order; admission runs on the call."""
     _admit(alpha, n, beta, cap)
-    lasts = range(alpha) if beta is None else (beta,)
     return ((window, colors)
-            for window in itertools.permutations(range(1, n + 1))
-            for colors in itertools.product(*[range(alpha)] * (n - 1), lasts))
+            for window in _windows(n) for colors in _colorings(alpha, n, beta))
 
 
 def iterate_fixed_last_color(alpha: int, n: int, beta: int,
@@ -340,14 +356,17 @@ def flag_table(alpha: int, n_max: int, cap: int | None = None,
 
 def verify_symmetry(alpha: int, n: int, cap: int | None = None) -> Verification:
     """Pointwise flag(w) + flag(r(w)) = alpha*(n-1) over the quotient, plus
-    palindromicity of the flag polynomial."""
-    elements = _tuples(alpha, n, 0, cap)
+    palindromicity of the flag polynomial.  The partner's colors are
+    computed once per coloring."""
+    _admit(alpha, n, 0, cap)
     target = alpha * (n - 1)
-    for window, colors in elements:
-        partner = _reversal(alpha, window, colors)
-        if _flag(alpha, window, colors) + _flag(alpha, *partner) != target:
-            return Verification(False, f"flag(w) + flag(r(w)) != {target}",
-                                ColoredPermutation._trusted(alpha, window, colors))
+    for colors in _colorings(alpha, n, 0):
+        partner = _reversed_colors(alpha, colors)
+        for window in _windows(n):
+            partner_flag = _flag(alpha, _reversed_window(window), partner)
+            if _flag(alpha, window, colors) + partner_flag != target:
+                return Verification(False, f"flag(w) + flag(r(w)) != {target}",
+                                    ColoredPermutation._trusted(alpha, window, colors))
     report = flag_eulerian_quotient(alpha, n, cap=cap)
     if not report.palindromic:
         return Verification(False, "flag polynomial is not palindromic")
@@ -356,11 +375,17 @@ def verify_symmetry(alpha: int, n: int, cap: int | None = None) -> Verification:
 
 
 def verify_involution(alpha: int, n: int, cap: int | None = None) -> Verification:
-    """r(r(w)) = w over the quotient."""
-    for total, (window, colors) in enumerate(_tuples(alpha, n, 0, cap), start=1):
-        if _reversal(alpha, *_reversal(alpha, window, colors)) != (window, colors):
-            return Verification(False, "r(r(w)) != w",
-                                ColoredPermutation._trusted(alpha, window, colors))
+    """r(r(w)) = w over the quotient: the color half once per coloring, the
+    window half once per element."""
+    _admit(alpha, n, 0, cap)
+    total = 0
+    for colors in _colorings(alpha, n, 0):
+        colors_back = _reversed_colors(alpha, _reversed_colors(alpha, colors)) == colors
+        for count, window in enumerate(_windows(n), start=1):
+            if not colors_back or _reversed_window(_reversed_window(window)) != window:
+                return Verification(False, "r(r(w)) != w",
+                                    ColoredPermutation._trusted(alpha, window, colors))
+        total += count
     return Verification(True, f"reversal is an involution on {total} elements")
 
 
@@ -405,24 +430,32 @@ def verify_coset_invariance(alpha: int, n: int, cap: int | None = None) -> Verif
     with its alpha - 1 nonzero shifts: a shift by s must give last color s,
     canonicalize back to the representative and keep its descent count, and
     the descent distribution over representatives must match the quotient
-    polynomial.  One coset is held at a time, so memory does not grow."""
+    polynomial.  Each coloring's shifts are checked once and held while its
+    windows are walked, so memory is O(alpha * n), never O(elements).  A
+    failed color check names the coloring's first element, the identity
+    window."""
     _admit(alpha, n, None, cap)
+    identity = tuple(range(1, n + 1))
     coeffs = [0] * n
-    for window, colors in _tuples(alpha, n, 0, cap):
-        count = _descents(window, colors)
+    for colors in _colorings(alpha, n, 0):
+        shifts = []
         for shift in range(1, alpha):
             shifted = _shift_colors(alpha, colors, shift)
             if shifted[-1] != shift:
                 return Verification(False, "color shift does not move the last color",
-                                    ColoredPermutation._trusted(alpha, window, colors))
+                                    ColoredPermutation._trusted(alpha, identity, colors))
             if _canonical_colors(alpha, shifted) != colors:
                 return Verification(
                     False, "color shift does not canonicalize to its representative",
-                    ColoredPermutation._trusted(alpha, window, shifted))
-            if _descents(window, shifted) != count:
-                return Verification(False, "descent count varies within a coset",
-                                    ColoredPermutation._trusted(alpha, window, colors))
-        coeffs[count] += 1
+                    ColoredPermutation._trusted(alpha, identity, shifted))
+            shifts.append(shifted)
+        for window in _windows(n):
+            count = _descents(window, colors)
+            for shifted in shifts:
+                if _descents(window, shifted) != count:
+                    return Verification(False, "descent count varies within a coset",
+                                        ColoredPermutation._trusted(alpha, window, colors))
+            coeffs[count] += 1
     expected = colored_eulerian(alpha, n, cap=cap).polynomial
     if tuple(coeffs) != expected.coefficients:
         return Verification(

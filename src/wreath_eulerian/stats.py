@@ -68,9 +68,20 @@ def flag_descent(w: ColoredPermutation) -> int:
     return _flag(w.alpha, w.window, w.colors)
 
 
+def _reversed_window(window: tuple) -> tuple:
+    """The window half of the reversal map: the window read backwards."""
+    return window[::-1]
+
+
+def _reversed_colors(alpha: int, colors: tuple) -> tuple:
+    """The color half of the reversal map: the colors read backwards and
+    canonicalized, so the last color is 0 again."""
+    return _canonical_colors(alpha, colors[::-1])
+
+
 def _reversal(alpha: int, window: tuple, colors: tuple) -> tuple[tuple, tuple]:
-    """The reversal map's image: reversed window, reversed colors canonicalized."""
-    return window[::-1], _canonical_colors(alpha, colors[::-1])
+    """The reversal map's image: each half from its own kernel."""
+    return _reversed_window(window), _reversed_colors(alpha, colors)
 
 
 def reversal_map(w: ColoredPermutation) -> ColoredPermutation:

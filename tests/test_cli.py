@@ -165,9 +165,11 @@ class TestVerifyCommand:
         assert code == 0
 
     def test_counterexample_exits_1(self, capsys, monkeypatch):
-        # A window rotation keeps the last color 0 but breaks the pairing.
-        monkeypatch.setattr(enumeration, "_reversal",
-                            lambda alpha, window, colors: (window[1:] + window[:1], colors))
+        # A window rotation, with the colors kept as they are, keeps the
+        # last color 0 but breaks the pairing.
+        monkeypatch.setattr(enumeration, "_reversed_window",
+                            lambda window: window[1:] + window[:1])
+        monkeypatch.setattr(enumeration, "_reversed_colors", lambda alpha, colors: colors)
         code, out, _ = run(capsys, "verify", "symmetry", "--alpha", "2", "--n", "3")
         assert code == 1
         assert out.splitlines() == ["FAIL flag(w) + flag(r(w)) != 4",

@@ -184,10 +184,10 @@ class TestUncheckedConstruction:
                 assert_checked(reversal_map(w))
 
     def test_coset_shifts(self, monkeypatch):
-        # The verifier canonicalizes each color shift it builds, so a
-        # recording canonicalization kernel sees every shift and every
-        # result: the colors of each element of the group whose last color
-        # is not 0, and those of its coset's representative.
+        # The verifier canonicalizes each color shift it builds, once per
+        # shifted coloring, so a recording canonicalization kernel sees
+        # every shift and every result: each coloring whose last color is
+        # not 0, and its coset representative's coloring.
         canonical_colors = enumeration._canonical_colors
         calls = 0
 
@@ -202,8 +202,7 @@ class TestUncheckedConstruction:
         monkeypatch.setattr(enumeration, "_canonical_colors", recording)
         for alpha, n in self.SIZES:
             assert verify_coset_invariance(alpha, n).ok
-        assert calls == sum((alpha - 1) * quotient_cardinality(alpha, n)
-                                for alpha, n in self.SIZES)
+        assert calls == sum((alpha - 1) * alpha ** (n - 1) for alpha, n in self.SIZES)
 
     def test_public_construction_stays_checked(self):
         assert not [name for name in wreath_eulerian.__all__ if "trusted" in name]
@@ -447,10 +446,19 @@ class TestSweeps:
         assert sweep(required)
 
 
-def rotate_window(alpha, window, colors):
-    """A stand-in for the reversal map's kernel that keeps the last color 0
-    but is no involution for n >= 3."""
-    return window[1:] + window[:1], colors
+def rotate_window(window):
+    """A stand-in for the reversal map's window kernel that is no involution
+    for n >= 3."""
+    return window[1:] + window[:1]
+
+
+def keep_last(*fields):
+    """A stand-in for either half of the reversal map: the identity on the
+    window, or on the colors."""
+    return fields[-1]
+
+
+REVERSAL_HALVES = ("_reversed_window", "_reversed_colors")
 
 
 class TestVerifiers:
@@ -512,11 +520,12 @@ class TestVerifiers:
         assert result.description == "color shift does not move the last color"
         assert result.counterexample == identity(3, 4)
 
-    @pytest.mark.parametrize("broken", [lambda alpha, window, colors: (window, colors),
-                                        rotate_window],
+    @pytest.mark.parametrize("kernels,broken", [(REVERSAL_HALVES, keep_last),
+                                                (("_reversed_window",), rotate_window)],
                              ids=["identity", "rotation"])
-    def test_symmetry_catches_wrong_reversal_map(self, monkeypatch, broken):
-        monkeypatch.setattr(enumeration, "_reversal", broken)
+    def test_symmetry_catches_wrong_reversal_map(self, monkeypatch, kernels, broken):
+        for kernel in kernels:
+            monkeypatch.setattr(enumeration, kernel, broken)
         result = verify_symmetry(2, 3)
         assert not result.ok
         assert result.counterexample == identity(2, 3)
@@ -544,7 +553,7 @@ class TestVerifiers:
         assert result.counterexample is None
 
     def test_involution_catches_wrong_reversal_map(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_reversal", rotate_window)
+        monkeypatch.setattr(enumeration, "_reversed_window", rotate_window)
         result = verify_involution(2, 3)
         assert not result.ok
         assert result.counterexample == identity(2, 3)
@@ -552,6 +561,23 @@ class TestVerifiers:
     def test_cap_propagates(self):
         with pytest.raises(CapExceededError):
             verify_symmetry(2, 9, cap=100)
+
+    def test_coset_verifier_memory_grows_like_alpha_n(self):
+        # One coloring's alpha - 1 shifts are held at a time: at (300, 2)
+        # all 300 colorings' shifts would be about 90,000 tuples, some 7 MB.
+        def peak(run):
+            tracemalloc.start()
+            try:
+                assert run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        builder = peak(lambda: colored_eulerian(10**5, 1))
+        verifier = peak(lambda: verify_coset_invariance(10**5, 1).ok)
+        assert verifier <= 3 * builder, f"peak {verifier} bytes against {builder}"
+        verifier = peak(lambda: verify_coset_invariance(300, 2).ok)
+        assert verifier < 2**20, f"peak {verifier} bytes"
 
     def test_verdicts_are_computed_when_read(self, monkeypatch):
         # The table and the identity verifiers compare coefficients only,
@@ -604,24 +630,50 @@ class TestKernels:
                     r = reversal_map(w)
                     assert enumeration._reversal(alpha, window, colors) == \
                         (r.window, r.colors)
+                    assert enumeration._reversal(alpha, window, colors) == \
+                        (enumeration._reversed_window(window),
+                         enumeration._reversed_colors(alpha, colors))
 
-    @pytest.mark.parametrize("verify,kernel,broken", [
-        (verify_symmetry, "_reversal", lambda alpha, window, colors: (window, colors)),
-        (verify_symmetry, "_reversal", rotate_window),
-        (verify_symmetry, "_flag", lambda alpha, window, colors: 0),
-        (verify_involution, "_reversal", rotate_window),
-        (verify_coset_invariance, "_canonical_colors", lambda alpha, colors: colors),
-        (verify_coset_invariance, "_shift_colors",
+    def test_joint_kernels_per_element_color_kernels_per_coloring(self, monkeypatch):
+        # The verifiers walk colorings first: a kernel that reads only the
+        # colors runs once per coloring, one that reads the window once per
+        # element.
+        calls = dict.fromkeys(("_flag", "_descents", "_reversed_window",
+                               "_reversed_colors"), 0)
+        for name in calls:
+            def recording(*fields, name=name, kernel=getattr(enumeration, name)):
+                calls[name] += 1
+                return kernel(*fields)
+
+            monkeypatch.setattr(enumeration, name, recording)
+        for alpha, n in TestUncheckedConstruction.SIZES:
+            quotient, colorings = quotient_cardinality(alpha, n), alpha ** (n - 1)
+            for verify, expected in [
+                    (verify_symmetry, (2 * quotient, 0, quotient, colorings)),
+                    (verify_involution, (0, 0, 2 * quotient, 2 * colorings)),
+                    (verify_coset_invariance, (0, alpha * quotient, 0, 0))]:
+                calls.update(dict.fromkeys(calls, 0))
+                assert verify(alpha, n).ok
+                assert tuple(calls.values()) == expected, (verify.__name__, alpha, n)
+
+    @pytest.mark.parametrize("verify,kernels,broken", [
+        (verify_symmetry, REVERSAL_HALVES, keep_last),
+        (verify_symmetry, ("_reversed_window",), rotate_window),
+        (verify_symmetry, ("_flag",), lambda alpha, window, colors: 0),
+        (verify_involution, ("_reversed_window",), rotate_window),
+        (verify_coset_invariance, ("_canonical_colors",), lambda alpha, colors: colors),
+        (verify_coset_invariance, ("_shift_colors",),
          lambda alpha, colors, shift: colors[:-1] + ((colors[-1] + shift) % alpha,)),
-        (verify_coset_invariance, "_descents", lambda window, colors: colors[0]),
-        (verify_coset_invariance, "_shift_colors", lambda alpha, colors, shift: colors),
+        (verify_coset_invariance, ("_descents",), lambda window, colors: colors[0]),
+        (verify_coset_invariance, ("_shift_colors",), lambda alpha, colors, shift: colors),
     ], ids=["symmetry-identity", "symmetry-rotation", "symmetry-flag",
             "involution-rotation", "coset-canonical", "coset-shift", "coset-descents",
             "coset-no-shift"])
     def test_broken_kernel_counterexample_is_checked(self, monkeypatch, verify,
-                                                     kernel, broken):
+                                                     kernels, broken):
         # Counterexamples are the only elements the verifiers build.
-        monkeypatch.setattr(enumeration, kernel, broken)
+        for kernel in kernels:
+            monkeypatch.setattr(enumeration, kernel, broken)
         for alpha, n in [(2, 3), (3, 4)]:
             result = verify(alpha, n)
             assert not result.ok
