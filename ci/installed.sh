@@ -1,0 +1,107 @@
+#!/usr/bin/env bash
+# Checks of the wreath-eulerian command as a user runs it, from outside the
+# checkout.  The arguments name the command to check, the installed
+# wreath-eulerian by default:
+#
+#     bash ci/installed.sh
+#     PYTHONPATH=/path/to/src bash ci/installed.sh python -m wreath_eulerian.cli
+#
+# Run it from an empty directory: it writes its scratch files there.
+set -e
+if [ "$#" -eq 0 ]; then
+  set -- wreath-eulerian
+fi
+cli=("$@")
+
+"${cli[@]}" --help
+# Every run imports the CLI, so it must not pull in dataclasses or
+# inspect; tier-1 checks this for src/, here it is the installed copy.
+python -c "import sys, wreath_eulerian.cli
+loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]
+assert not loaded, f'importing wreath_eulerian.cli loaded {loaded}'"
+"${cli[@]}" report --alpha 2 --max-n 40 --cap 448554170605606071010162734597677682499076317249536000000000
+# A large sweep from one pass: ABR to n = 60, capped at 2^60 * 60!.
+"${cli[@]}" verify abr-identity --max-n 60 --cap 9593444981835986954891939947669322185182489942608389896364094195294295395488811817369600000000000000 > abr.txt
+passes=$(grep -c '^PASS ' abr.txt)
+if [ "$passes" -ne 60 ]; then
+  echo "abr-identity to n = 60: $passes PASS lines; want 60"
+  exit 1
+fi
+# Each stream verifier checks the 9720 elements of the (3, 5) quotient.
+for target in symmetry involution coset-invariance; do
+  "${cli[@]}" verify "$target" --alpha 3 --n 5 > walk.txt
+  if [ "$(wc -l < walk.txt)" -ne 1 ] || ! grep -q '^PASS ' walk.txt \
+      || ! grep -qw 9720 walk.txt; then
+    echo "verify $target --alpha 3 --n 5: want one PASS line with 9720"
+    cat walk.txt
+    exit 1
+  fi
+done
+# The stream verifiers walk the n! windows once, then check one window per
+# (descent class, coloring): 2^(n-1) * alpha^(n-1) checks.  So the
+# 5160960 elements of the (2, 8) quotient, the 3674160 cosets of (3, 7) and
+# the 92897280 elements of the (2, 9) quotient each take about a second.
+timeout 120 "${cli[@]}" verify symmetry --alpha 2 --n 8 > walk.txt
+if [ "$(wc -l < walk.txt)" -ne 1 ] || ! grep -q '^PASS ' walk.txt \
+    || ! grep -qw 5160960 walk.txt; then
+  echo "verify symmetry --alpha 2 --n 8: want one PASS line with 5160960"
+  cat walk.txt
+  exit 1
+fi
+timeout 60 "${cli[@]}" verify coset-invariance --alpha 3 --n 7 > walk.txt
+if [ "$(wc -l < walk.txt)" -ne 1 ] || ! grep -q '^PASS ' walk.txt \
+    || ! grep -qw 3674160 walk.txt; then
+  echo "verify coset-invariance --alpha 3 --n 7: want one PASS line with 3674160"
+  cat walk.txt
+  exit 1
+fi
+timeout 60 "${cli[@]}" verify symmetry --alpha 2 --n 9 > walk.txt
+if [ "$(wc -l < walk.txt)" -ne 1 ] || ! grep -q '^PASS ' walk.txt \
+    || ! grep -qw 92897280 walk.txt; then
+  echo "verify symmetry --alpha 2 --n 9: want one PASS line with 92897280"
+  cat walk.txt
+  exit 1
+fi
+# The cap reads each domain's own size: 9720 admits the (3, 5)
+# quotient, and the coset verifier's 29160-element full group not.
+"${cli[@]}" verify symmetry --alpha 3 --n 5 --cap 9720 > walk.txt
+if [ "$(wc -l < walk.txt)" -ne 1 ] || ! grep -q '^PASS ' walk.txt; then
+  echo "verify symmetry --alpha 3 --n 5 --cap 9720: want one PASS line"
+  cat walk.txt
+  exit 1
+fi
+# A builder step costs O(alpha * n) big-integer operations on states
+# of at most n slots, so the (4000, 2) quotient row, a header and
+# coefficients 0..4000, takes well under a minute.  The csv format
+# computes no shape verdict.
+timeout 60 "${cli[@]}" poly --alpha 4000 --n 2 --format csv > wide.csv
+if [ "$(wc -l < wide.csv)" -ne 4002 ]; then
+  echo "poly --alpha 4000 --n 2 --format csv: $(wc -l < wide.csv) lines; want 4002"
+  exit 1
+fi
+# Builder memory grows like alpha * n, not alpha^2, so (20000, 2) fits too.
+timeout 60 "${cli[@]}" poly --alpha 20000 --n 2 --format csv > wide.csv
+if [ "$(wc -l < wide.csv)" -ne 20002 ]; then
+  echo "poly --alpha 20000 --n 2 --format csv: $(wc -l < wide.csv) lines; want 20002"
+  exit 1
+fi
+# A usage error exits 2 and a cap refusal 3, each with one stderr line.
+expect() {
+  want=$1; shift
+  status=0
+  "${cli[@]}" "$@" > /dev/null 2> stderr.txt || status=$?
+  lines=$(wc -l < stderr.txt)
+  if [ "$status" -ne "$want" ] || [ "$lines" -ne 1 ]; then
+    echo "wreath-eulerian $*: exit $status, $lines stderr lines; want exit $want, 1 line"
+    exit 1
+  fi
+}
+expect 2 poly --alpha 0 --n 2
+expect 2 poly --alpha 2 --n 3 --beta 7
+expect 2 verify symmetry
+expect 2 verify abr-identity --max-n 0
+expect 2 verify abr-identity --max-n 2 --alpha 7
+expect 2 verify symmetry --alpha 3 --n 5 --max-n 2
+expect 2 verify product-identity --max-k 0
+expect 3 table --alpha 2 --max-n 6 --cap 100
+expect 3 verify coset-invariance --alpha 3 --n 5 --cap 9720

@@ -4,6 +4,14 @@ Colors are ordered linearly 0 < 1 < ... < alpha-1 wherever a comparison
 appears; none of the functions here ever wraps a comparison around the
 cyclic structure.  Winding numbers, by contrast, are genuinely cyclic: they
 trace a clock hand across the color marks and count visits to a chosen mark.
+
+The private kernels (``_flag``, ``_descents``, the two halves of the
+reversal) take raw (window, colors) fields, so the verifiers in
+``enumeration`` can check tuples without building elements.  ``_flag`` and
+``_descents`` read the window only through its descent set, which
+``_descent_mask`` gives as bits; the reversed window's descent set is the
+window's ascent set read backwards.  The verifiers check one window per
+descent class on these two facts.
 """
 from __future__ import annotations
 
@@ -37,6 +45,18 @@ def colored_descent_set(w: ColoredPermutation) -> frozenset[int]:
         for i in range(len(win) - 1)
         if col[i] != col[i + 1] or win[i] > win[i + 1]
     )
+
+
+def _descent_mask(window: tuple) -> int:
+    """The window's descent set as bits: bit i is set iff window[i] >
+    window[i + 1].  ``_descents`` and ``_flag`` read the window only through
+    this set, so the windows that share a mask form a descent class on
+    which both are constant for fixed colors."""
+    mask = 0
+    for i in range(len(window) - 1):
+        if window[i] > window[i + 1]:
+            mask |= 1 << i
+    return mask
 
 
 def _descents(window: tuple, colors: tuple) -> int:

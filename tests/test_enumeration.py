@@ -458,7 +458,47 @@ def keep_last(*fields):
     return fields[-1]
 
 
+def reverse_then_swap_front(window):
+    """A stand-in for the reversal map's window kernel that swaps the first
+    two entries of the reversed window when the window starts with its
+    largest entry and does not end with its smallest.  The first window of
+    each descent class, in lex order, is the identity with each run of
+    descents reversed, so none is swapped: only the check that the map
+    sends each class into one class sees the fault, for n >= 3."""
+    backwards = window[::-1]
+    if window[0] != len(window) or window[-1] == 1:
+        return backwards
+    return backwards[1:2] + backwards[:1] + backwards[2:]
+
+
+def rotate_colors(alpha, colors):
+    """A stand-in for the reversal map's color kernel that is no involution
+    for n >= 3."""
+    return colors[1:] + colors[:1]
+
+
 REVERSAL_HALVES = ("_reversed_window", "_reversed_colors")
+
+# (verifier, kernels replaced, stand-in) rows that each verifier must catch.
+KERNEL_FAULTS = [
+    pytest.param(verify, kernels, broken, id=name) for name, verify, kernels, broken in [
+        ("symmetry-identity", verify_symmetry, REVERSAL_HALVES, keep_last),
+        ("symmetry-rotation", verify_symmetry, ("_reversed_window",), rotate_window),
+        ("symmetry-flag", verify_symmetry, ("_flag",), lambda alpha, window, colors: 0),
+        ("symmetry-swap-front", verify_symmetry, ("_reversed_window",),
+         reverse_then_swap_front),
+        ("involution-rotation", verify_involution, ("_reversed_window",), rotate_window),
+        ("involution-color-rotation", verify_involution, ("_reversed_colors",),
+         rotate_colors),
+        ("coset-canonical", verify_coset_invariance, ("_canonical_colors",),
+         lambda alpha, colors: colors),
+        ("coset-shift", verify_coset_invariance, ("_shift_colors",),
+         lambda alpha, colors, shift: colors[:-1] + ((colors[-1] + shift) % alpha,)),
+        ("coset-descents", verify_coset_invariance, ("_descents",),
+         lambda window, colors: colors[0]),
+        ("coset-no-shift", verify_coset_invariance, ("_shift_colors",),
+         lambda alpha, colors, shift: colors),
+    ]]
 
 
 class TestVerifiers:
@@ -634,10 +674,11 @@ class TestKernels:
                         (enumeration._reversed_window(window),
                          enumeration._reversed_colors(alpha, colors))
 
-    def test_joint_kernels_per_element_color_kernels_per_coloring(self, monkeypatch):
-        # The verifiers walk colorings first: a kernel that reads only the
-        # colors runs once per coloring, one that reads the window once per
-        # element.
+    def test_kernels_per_descent_class_and_coloring(self, monkeypatch):
+        # The verifiers walk the n! windows once and then check one window
+        # per (descent class, coloring): 2^(n-1) classes, each checked at its
+        # first window, and a kernel that reads only the colors once per
+        # coloring.  Involution checks each half on its own factor.
         calls = dict.fromkeys(("_flag", "_descents", "_reversed_window",
                                "_reversed_colors"), 0)
         for name in calls:
@@ -647,28 +688,17 @@ class TestKernels:
 
             monkeypatch.setattr(enumeration, name, recording)
         for alpha, n in TestUncheckedConstruction.SIZES:
-            quotient, colorings = quotient_cardinality(alpha, n), alpha ** (n - 1)
+            windows, colorings = math.factorial(n), alpha ** (n - 1)
+            checks = 2 ** (n - 1) * colorings
             for verify, expected in [
-                    (verify_symmetry, (2 * quotient, 0, quotient, colorings)),
-                    (verify_involution, (0, 0, 2 * quotient, 2 * colorings)),
-                    (verify_coset_invariance, (0, alpha * quotient, 0, 0))]:
+                    (verify_symmetry, (2 * checks, 0, windows, colorings)),
+                    (verify_involution, (0, 0, 2 * windows, 2 * colorings)),
+                    (verify_coset_invariance, (0, alpha * checks, 0, 0))]:
                 calls.update(dict.fromkeys(calls, 0))
                 assert verify(alpha, n).ok
                 assert tuple(calls.values()) == expected, (verify.__name__, alpha, n)
 
-    @pytest.mark.parametrize("verify,kernels,broken", [
-        (verify_symmetry, REVERSAL_HALVES, keep_last),
-        (verify_symmetry, ("_reversed_window",), rotate_window),
-        (verify_symmetry, ("_flag",), lambda alpha, window, colors: 0),
-        (verify_involution, ("_reversed_window",), rotate_window),
-        (verify_coset_invariance, ("_canonical_colors",), lambda alpha, colors: colors),
-        (verify_coset_invariance, ("_shift_colors",),
-         lambda alpha, colors, shift: colors[:-1] + ((colors[-1] + shift) % alpha,)),
-        (verify_coset_invariance, ("_descents",), lambda window, colors: colors[0]),
-        (verify_coset_invariance, ("_shift_colors",), lambda alpha, colors, shift: colors),
-    ], ids=["symmetry-identity", "symmetry-rotation", "symmetry-flag",
-            "involution-rotation", "coset-canonical", "coset-shift", "coset-descents",
-            "coset-no-shift"])
+    @pytest.mark.parametrize("verify,kernels,broken", KERNEL_FAULTS)
     def test_broken_kernel_counterexample_is_checked(self, monkeypatch, verify,
                                                      kernels, broken):
         # Counterexamples are the only elements the verifiers build.
@@ -678,6 +708,92 @@ class TestKernels:
             result = verify(alpha, n)
             assert not result.ok
             assert_checked(result.counterexample)
+
+    @pytest.mark.parametrize("verify,kernels,broken", [
+        *(pytest.param(verify, (), None, id=verify.__name__)
+          for verify in (verify_symmetry, verify_involution, verify_coset_invariance)),
+        *KERNEL_FAULTS])
+    def test_class_checks_agree_with_the_element_walk(self, monkeypatch, verify,
+                                                      kernels, broken):
+        # The class checks decide a verdict only when every check holds;
+        # otherwise the verifier walks the elements.  Either way its result
+        # must be the element walk's, counterexample and description too.
+        for kernel in kernels:
+            monkeypatch.setattr(enumeration, kernel, broken)
+        for alpha in range(1, 4):
+            for n in range(1, 6):
+                assert verify(alpha, n) == element_walk(verify, alpha, n), (alpha, n)
+
+    def test_kernels_read_the_window_through_its_descent_set(self):
+        # The two facts the class checks rest on: flag and the colored
+        # descent count depend on the window only through D(w), and the
+        # reversed window's descent set is D(w) complemented and read
+        # backwards, so the reversal maps each class into one class.
+        for alpha, n in TestUncheckedConstruction.SIZES:
+            for w in iterate_full_group(alpha, n):
+                window, colors = w.window, w.colors
+                mask = enumeration._descent_mask(window)
+                pairs = list(zip(colors, colors[1:]))
+                both = sum(c == d and mask >> i & 1 for i, (c, d) in enumerate(pairs))
+                assert enumeration._flag(alpha, window, colors) == \
+                    colors[0] + alpha * sum(c < d for c, d in pairs) + alpha * both
+                assert enumeration._descents(window, colors) == \
+                    sum(c != d for c, d in pairs) + both
+                reversed_mask = enumeration._descent_mask(enumeration._reversed_window(window))
+                assert reversed_mask == sum(1 << (n - 2 - i) for i in range(n - 1)
+                                            if not mask >> i & 1)
+
+
+def element_walk(verify, alpha, n):
+    """The verifier's result, one element at a time through the kernels it
+    calls: the first failing element in (colors, window) order, then the
+    polynomial check."""
+    E = enumeration
+    windows = list(itertools.permutations(range(1, n + 1)))
+    colorings = [(*c, 0) for c in itertools.product(range(alpha), repeat=n - 1)]
+
+    def fail(description, window, colors):
+        return E.Verification(False, description, ColoredPermutation(alpha, window, colors))
+
+    if verify is verify_symmetry:
+        target = alpha * (n - 1)
+        for colors in colorings:
+            partner = E._reversed_colors(alpha, colors)
+            for window in windows:
+                if E._flag(alpha, window, colors) + \
+                        E._flag(alpha, E._reversed_window(window), partner) != target:
+                    return fail(f"flag(w) + flag(r(w)) != {target}", window, colors)
+        if not E.flag_eulerian_quotient(alpha, n).palindromic:
+            return E.Verification(False, "flag polynomial is not palindromic")
+        return E.Verification(True, f"flag symmetric about {alpha}*({n}-1)/2 over "
+                                    f"{len(colorings) * len(windows)} elements")
+    if verify is verify_involution:
+        for colors in colorings:
+            for window in windows:
+                if E._reversed_window(E._reversed_window(window)) != window or \
+                        E._reversed_colors(alpha, E._reversed_colors(alpha, colors)) != colors:
+                    return fail("r(r(w)) != w", window, colors)
+        return E.Verification(
+            True, f"reversal is an involution on {len(colorings) * len(windows)} elements")
+    coeffs = [0] * n
+    for colors in colorings:
+        shifts = [E._shift_colors(alpha, colors, shift) for shift in range(1, alpha)]
+        for shift, shifted in enumerate(shifts, start=1):
+            if shifted[-1] != shift:
+                return fail("color shift does not move the last color", windows[0], colors)
+            if E._canonical_colors(alpha, shifted) != colors:
+                return fail("color shift does not canonicalize to its representative",
+                            windows[0], shifted)
+        for window in windows:
+            count = E._descents(window, colors)
+            if any(E._descents(window, shifted) != count for shifted in shifts):
+                return fail("descent count varies within a coset", window, colors)
+            coeffs[count] += 1
+    if tuple(coeffs) != E.colored_eulerian(alpha, n).polynomial.coefficients:
+        return E.Verification(False, "descent distribution over representatives differs "
+                                     "from the fixed-last-color-0 distribution")
+    return E.Verification(True, f"{sum(coeffs)} cosets of size {alpha} with constant "
+                                f"descent count")
 
 
 def power(p, exponent):
