@@ -14,16 +14,18 @@ Two computation routes coexist on purpose:
   some window, so they walk the n! windows once, recording each descent
   class's first window (in lex order) and size, and then check one
   representative per (class, coloring): 2^(n-1) * alpha^(n-1) checks for
-  n! * alpha^(n-1) elements.  Involution needs no classes: the reversal is
-  the pair of its two halves, so it is an involution iff each half is.
-  When a check fails, the verifier walks the elements, colorings first,
-  and names the first failing element in (colors, window) order, so its
-  result is the element walk's.  A class verdict equals the element
-  verdict on two facts.  First, ``_flag`` and ``_descents`` read the
-  window only through D(w) (``_descent_mask``); the test suite pins this
-  on every element of the small full groups, and it is not checked at run
-  time.  Second, the reversal's window half maps each class into a single
-  class; the symmetry verifier checks this on every window in every run;
+  n! * alpha^(n-1) elements.  Symmetry reads the window and its reversal,
+  so it groups the windows by the pair (D(w), D(r(w))) instead; the
+  reversal complements and reverses D(w), so there are again 2^(n-1)
+  groups.  Involution needs no classes: the reversal is the pair of its
+  two halves, so it is an involution iff each half is.  Colorings are
+  the outer loop and classes are checked in order of first appearance, so
+  the first failing check's first window is the first failing element in
+  (colors, window) order, the element walk's counterexample.  A class
+  verdict equals the element verdict because ``_flag`` and ``_descents``
+  read the window only through D(w) (``_descent_mask``); the test suite
+  pins this on every element of the small full groups, and it is not
+  checked at run time;
 * the polynomial builders count by the transfer-matrix method (Stanley,
   *Enumerative Combinatorics I*, section 4.7).  Both the colored descent
   count and the flag statistic count adjacent pairs (does the window
@@ -56,7 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from .core import (ColoredPermutation, ValidationError, _Record, _canonical_colors,
                    _is_int, _require_color, _require_int, _shift_colors)
@@ -366,60 +368,39 @@ def flag_table(alpha: int, n_max: int, cap: int | None = None,
 # ---------------------------------------------------------------------------
 # Identity verifiers
 
-def _descent_classes(n: int, image: Callable[[tuple], tuple] | None = None
-                     ) -> list[tuple] | None:
+def _descent_classes(n: int) -> list[tuple]:
     """One walk of the n! windows in lex order, grouped by descent class
-    (``_descent_mask``): (first window, class size, image) per class, in
-    order of first appearance.  Every subset of {1..n-1} is a descent set,
-    so there are 2^(n-1) classes.  With a window map ``image``, applied to
-    every window, the image is that of the first window, and the walk gives
-    None unless the map sends each class into a single class; without one,
-    the image is None."""
+    (``_descent_mask``): (first window, class size) per class, in order of
+    first appearance.  Every subset of {1..n-1} is a descent set, so there
+    are 2^(n-1) classes."""
     classes: dict[int, list] = {}
     for window in _windows(n):
-        mask = _descent_mask(window)
-        partner = None if image is None else image(window)
-        partner_mask = None if image is None else _descent_mask(partner)
-        seen = classes.get(mask)
-        if seen is None:
-            classes[mask] = [window, 1, partner, partner_mask]
-        elif seen[3] != partner_mask:
-            return None
-        else:
-            seen[1] += 1
-    return [(window, size, partner) for window, size, partner, _ in classes.values()]
-
-
-def _symmetric_classes(alpha: int, n: int, target: int) -> bool:
-    """Whether the reversal maps descent classes to classes and each
-    (class, coloring) pair's flags, at the class's first window, sum to
-    target; the partner's colors are computed once per coloring."""
-    classes = _descent_classes(n, _reversed_window)
-    if classes is None:
-        return False
-    for colors in _colorings(alpha, n, 0):
-        partner = _reversed_colors(alpha, colors)
-        for window, _, reversed_window in classes:
-            if _flag(alpha, window, colors) + _flag(alpha, reversed_window, partner) != target:
-                return False
-    return True
+        seen = classes.setdefault(_descent_mask(window), [window, 0])
+        seen[1] += 1
+    return [tuple(seen) for seen in classes.values()]
 
 
 def verify_symmetry(alpha: int, n: int, cap: int | None = None) -> Verification:
     """Pointwise flag(w) + flag(r(w)) = alpha*(n-1) over the quotient, plus
-    palindromicity of the flag polynomial.  Checked once per (descent
-    class, coloring); if a check fails, the element walk names the first
-    failing element."""
+    palindromicity of the flag polynomial.  The flag sum reads the window
+    only through the pair (D(w), D(r(w))), so one walk groups the windows
+    by that pair, and each (group, coloring) is checked at the group's first
+    window; the partner's colors are computed once per coloring.  The first
+    failing check names the first failing element in (colors, window)
+    order."""
     _admit(alpha, n, 0, cap)
     target = alpha * (n - 1)
-    if not _symmetric_classes(alpha, n, target):
-        for colors in _colorings(alpha, n, 0):
-            partner = _reversed_colors(alpha, colors)
-            for window in _windows(n):
-                partner_flag = _flag(alpha, _reversed_window(window), partner)
-                if _flag(alpha, window, colors) + partner_flag != target:
-                    return Verification(False, f"flag(w) + flag(r(w)) != {target}",
-                                        ColoredPermutation._trusted(alpha, window, colors))
+    pairs: dict[tuple, tuple] = {}
+    for window in _windows(n):
+        partner_window = _reversed_window(window)
+        pairs.setdefault((_descent_mask(window), _descent_mask(partner_window)),
+                         (window, partner_window))
+    for colors in _colorings(alpha, n, 0):
+        partner = _reversed_colors(alpha, colors)
+        for window, partner_window in pairs.values():
+            if _flag(alpha, window, colors) + _flag(alpha, partner_window, partner) != target:
+                return Verification(False, f"flag(w) + flag(r(w)) != {target}",
+                                    ColoredPermutation._trusted(alpha, window, colors))
     report = flag_eulerian_quotient(alpha, n, cap=cap)
     if not report.palindromic:
         return Verification(False, "flag polynomial is not palindromic")
@@ -430,19 +411,23 @@ def verify_symmetry(alpha: int, n: int, cap: int | None = None) -> Verification:
 def verify_involution(alpha: int, n: int, cap: int | None = None) -> Verification:
     """r(r(w)) = w over the quotient.  r is the pair of its two halves, so
     it is an involution iff each half is: n! window checks and alpha^(n-1)
-    color checks.  If one fails, the element walk names the first failing
-    element."""
+    color checks.  The first failing element in (colors, window) order is
+    the first window that fails under the first coloring, if that coloring
+    holds, and otherwise the first failing coloring's identity window."""
     _admit(alpha, n, 0, cap)
-    if not (all(_reversed_window(_reversed_window(window)) == window
-                for window in _windows(n))
-            and all(_reversed_colors(alpha, _reversed_colors(alpha, colors)) == colors
-                    for colors in _colorings(alpha, n, 0))):
-        for colors in _colorings(alpha, n, 0):
-            colors_back = _reversed_colors(alpha, _reversed_colors(alpha, colors)) == colors
-            for window in _windows(n):
-                if not colors_back or _reversed_window(_reversed_window(window)) != window:
-                    return Verification(False, "r(r(w)) != w",
-                                        ColoredPermutation._trusted(alpha, window, colors))
+    window = next((window for window in _windows(n)
+                   if _reversed_window(_reversed_window(window)) != window), None)
+    colors = next((colors for colors in _colorings(alpha, n, 0)
+                   if _reversed_colors(alpha, _reversed_colors(alpha, colors)) != colors),
+                  None)
+    if window is not None or colors is not None:
+        first = (0,) * n
+        if window is None or colors == first:
+            window = tuple(range(1, n + 1))
+        else:
+            colors = first
+        return Verification(False, "r(r(w)) != w",
+                            ColoredPermutation._trusted(alpha, window, colors))
     return Verification(
         True, f"reversal is an involution on {quotient_cardinality(alpha, n)} elements")
 
@@ -483,27 +468,6 @@ def verify_abr_identity(n_max: int, cap: int | None = None) -> list[Verification
             for n, lhs in enumerate(rows, start=1)]
 
 
-def _coset_classes(alpha: int, n: int) -> list[int] | None:
-    """The descent distribution over the quotient, from one check per
-    (descent class, coloring) after each coloring's shift checks; None if
-    a check fails."""
-    classes = _descent_classes(n)
-    coeffs = [0] * n
-    for colors in _colorings(alpha, n, 0):
-        shifts = []
-        for shift in range(1, alpha):
-            shifted = _shift_colors(alpha, colors, shift)
-            if shifted[-1] != shift or _canonical_colors(alpha, shifted) != colors:
-                return None
-            shifts.append(shifted)
-        for window, size, _ in classes:
-            count = _descents(window, colors)
-            if any(_descents(window, shifted) != count for shifted in shifts):
-                return None
-            coeffs[count] += size
-    return coeffs
-
-
 def verify_coset_invariance(alpha: int, n: int, cap: int | None = None) -> Verification:
     """Every coset of the color-shift subgroup is one quotient representative
     with its alpha - 1 nonzero shifts: a shift by s must give last color s,
@@ -511,35 +475,33 @@ def verify_coset_invariance(alpha: int, n: int, cap: int | None = None) -> Verif
     the descent distribution over representatives must match the quotient
     polynomial.  Each coloring's shifts are checked once, then the descent
     counts once per (descent class, coloring), each class adding its size
-    to the distribution.  If a check fails, the element walk names the
-    first failing element; a failed color check names the coloring's first
-    element, the identity window.  Either way a coloring's shifts are held
-    only while it is checked, so memory is O(2^n * n + alpha * n), never
-    O(elements)."""
+    to the distribution.  A failed class check names the class's first
+    window, the first failing element in (colors, window) order; a failed
+    color check names the coloring's first element, the identity window.
+    A coloring's shifts are held only while it is checked, so memory is
+    O(2^n * n + alpha * n), never O(elements)."""
     _admit(alpha, n, None, cap)
-    coeffs = _coset_classes(alpha, n)
-    if coeffs is None:
-        identity = tuple(range(1, n + 1))
-        coeffs = [0] * n
-        for colors in _colorings(alpha, n, 0):
-            shifts = []
-            for shift in range(1, alpha):
-                shifted = _shift_colors(alpha, colors, shift)
-                if shifted[-1] != shift:
-                    return Verification(False, "color shift does not move the last color",
-                                        ColoredPermutation._trusted(alpha, identity, colors))
-                if _canonical_colors(alpha, shifted) != colors:
-                    return Verification(
-                        False, "color shift does not canonicalize to its representative",
-                        ColoredPermutation._trusted(alpha, identity, shifted))
-                shifts.append(shifted)
-            for window in _windows(n):
-                count = _descents(window, colors)
-                for shifted in shifts:
-                    if _descents(window, shifted) != count:
-                        return Verification(False, "descent count varies within a coset",
-                                            ColoredPermutation._trusted(alpha, window, colors))
-                coeffs[count] += 1
+    classes = _descent_classes(n)
+    identity = tuple(range(1, n + 1))
+    coeffs = [0] * n
+    for colors in _colorings(alpha, n, 0):
+        shifts = []
+        for shift in range(1, alpha):
+            shifted = _shift_colors(alpha, colors, shift)
+            if shifted[-1] != shift:
+                return Verification(False, "color shift does not move the last color",
+                                    ColoredPermutation._trusted(alpha, identity, colors))
+            if _canonical_colors(alpha, shifted) != colors:
+                return Verification(
+                    False, "color shift does not canonicalize to its representative",
+                    ColoredPermutation._trusted(alpha, identity, shifted))
+            shifts.append(shifted)
+        for window, size in classes:
+            count = _descents(window, colors)
+            if any(_descents(window, shifted) != count for shifted in shifts):
+                return Verification(False, "descent count varies within a coset",
+                                    ColoredPermutation._trusted(alpha, window, colors))
+            coeffs[count] += size
     expected = colored_eulerian(alpha, n, cap=cap).polynomial
     if tuple(coeffs) != expected.coefficients:
         return Verification(

@@ -9,9 +9,10 @@ The private kernels (``_flag``, ``_descents``, the two halves of the
 reversal) take raw (window, colors) fields, so the verifiers in
 ``enumeration`` can check tuples without building elements.  ``_flag`` and
 ``_descents`` read the window only through its descent set, which
-``_descent_mask`` gives as bits; the reversed window's descent set is the
-window's ascent set read backwards.  The verifiers check one window per
-descent class on these two facts.
+``_descent_mask`` gives as bits, so the verifiers check one window per
+descent class.  The reversed window's descent set is the window's ascent
+set read backwards, so the symmetry verifier's groups, keyed by the
+descent sets of a window and of its reversal, number 2^(n-1) as well.
 """
 from __future__ import annotations
 

@@ -463,8 +463,9 @@ def reverse_then_swap_front(window):
     two entries of the reversed window when the window starts with its
     largest entry and does not end with its smallest.  The first window of
     each descent class, in lex order, is the identity with each run of
-    descents reversed, so none is swapped: only the check that the map
-    sends each class into one class sees the fault, for n >= 3."""
+    descents reversed, so none is swapped: a check at each descent class's
+    first window misses the fault, and only grouping the windows by their
+    own and their partner's descent sets sees it, for n >= 3."""
     backwards = window[::-1]
     if window[0] != len(window) or window[-1] == 1:
         return backwards
@@ -715,9 +716,9 @@ class TestKernels:
         *KERNEL_FAULTS])
     def test_class_checks_agree_with_the_element_walk(self, monkeypatch, verify,
                                                       kernels, broken):
-        # The class checks decide a verdict only when every check holds;
-        # otherwise the verifier walks the elements.  Either way its result
-        # must be the element walk's, counterexample and description too.
+        # The class checks name the first failing element themselves, so
+        # the result must be the element walk's, counterexample and
+        # description too, under every fault.
         for kernel in kernels:
             monkeypatch.setattr(enumeration, kernel, broken)
         for alpha in range(1, 4):
@@ -725,10 +726,10 @@ class TestKernels:
                 assert verify(alpha, n) == element_walk(verify, alpha, n), (alpha, n)
 
     def test_kernels_read_the_window_through_its_descent_set(self):
-        # The two facts the class checks rest on: flag and the colored
-        # descent count depend on the window only through D(w), and the
-        # reversed window's descent set is D(w) complemented and read
-        # backwards, so the reversal maps each class into one class.
+        # The class checks rest on flag and the colored descent count
+        # depending on the window only through D(w).  The reversed window's
+        # descent set is D(w) complemented and read backwards, so the
+        # symmetry verifier's groups number 2^(n-1) too.
         for alpha, n in TestUncheckedConstruction.SIZES:
             for w in iterate_full_group(alpha, n):
                 window, colors = w.window, w.colors
