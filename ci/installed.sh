@@ -79,6 +79,22 @@ if [ "$(wc -l < wide.csv)" -ne 4002 ]; then
   echo "poly --alpha 4000 --n 2 --format csv: $(wc -l < wide.csv) lines; want 4002"
   exit 1
 fi
+# In text, the row also gets its verdicts.  Newton's inequalities reject
+# the degree-4000 row in linear time, with no Sturm chain.
+timeout 30 "${cli[@]}" poly --alpha 4000 --n 2 > wide.txt
+if ! grep -qx 'real_rooted: false' wide.txt; then
+  echo "poly --alpha 4000 --n 2: want real_rooted: false"
+  tail -3 wide.txt
+  exit 1
+fi
+# A sign-change certificate proves each alpha = 2 row real-rooted, with no
+# Sturm chain: the report to n = 100, capped at 2^99 * 100!.
+timeout 60 "${cli[@]}" report --alpha 2 --max-n 100 --cap 59152516512272428904085701278152386534165211971726975430109776253421241509276229875065650191304775824558476227791793686722441331088317359076279776965958488326930432000000000000000000000000 > report.txt
+if [ "$(wc -l < report.txt)" -ne 100 ] \
+    || [ "$(grep -c ' real_rooted=true$' report.txt)" -ne 100 ]; then
+  echo "report --alpha 2 --max-n 100: want 100 rows, all real_rooted=true"
+  exit 1
+fi
 # Builder memory grows like alpha * n, not alpha^2, so (20000, 2) fits too.
 timeout 60 "${cli[@]}" poly --alpha 20000 --n 2 --format csv > wide.csv
 if [ "$(wc -l < wide.csv)" -ne 20002 ]; then

@@ -5,14 +5,21 @@ degree is explicit (trailing zeros below it are kept), because palindromicity
 of a descent polynomial must be tested against the statistic's maximum even
 if a leading coefficient were zero.
 
-Real-rootedness is decided exactly by one integer Sturm chain, that of the
-square-free part q / gcd(q, q'): it has the roots of q as a set, as many
-as its degree, so q is real-rooted iff the chain counts that many distinct
-real roots.  The chain is not built for p itself but for a smaller
-polynomial with the same verdict: the real roots x = 0 and x = -1 are
-divided out, and a palindromic rest q(x) = x^m g(x + 1/x) is decided from
-g, of half the degree (Petersen, *Eulerian Numbers*, ch. 4).  No floating
-point anywhere.
+Real-rootedness is decided exactly, by the first of three routes that
+settles it.  The real roots x = 0 and x = -1 are divided out first, and a
+palindromic rest q(x) = x^m g(x + 1/x) is read from g, of half the degree
+(Petersen, *Eulerian Numbers*, ch. 4).
+(1) Newton's inequalities (Hardy, Littlewood and Polya, *Inequalities*,
+    §2.22) hold for every real-rooted polynomial, so a coefficient that
+    breaks one proves False.
+(2) For a palindromic rest, m + 1 points at or below -2 at which g takes
+    nonzero values of alternating sign give m distinct roots of g below -2
+    by the intermediate value theorem, so every root of q is real: True.
+(3) Otherwise one integer Sturm chain decides, that of the square-free
+    part q / gcd(q, q'): it has the roots of q as a set, as many as its
+    degree, so q is real-rooted iff the chain counts that many distinct
+    real roots.
+No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -196,6 +203,78 @@ def _palindromic_reduction(c: list[int]) -> list[int]:
     return g
 
 
+def _newton_fails(c: list[int]) -> bool:
+    """True iff some 1 <= k <= d - 1 has
+    c_k^2 k (d - k) < c_(k-1) c_(k+1) (k + 1) (d - k + 1) for the trimmed c
+    of degree d.  Newton's inequalities e_k^2 >= e_(k-1) e_(k+1) for
+    e_k = c_k / C(d, k) hold for every real-rooted polynomial, whatever the
+    signs of its coefficients, so a failing k proves c is not."""
+    d = len(c) - 1
+    return any(c[k] * c[k] * k * (d - k)
+               < c[k - 1] * c[k + 1] * (k + 1) * (d - k + 1)
+               for k in range(1, d))
+
+
+#: Rounds of midpoint refinement before the certificate search gives up.
+_REFINEMENTS = 4
+
+
+def _sign_change_points(g: list[int]) -> list[tuple[int, int]] | None:
+    """Points y_0 < ... < y_m = -2, as (numerator, denominator) pairs, at
+    which g of degree m takes nonzero values of alternating sign, or None
+    if the search finds none.  Between two such points lies a root, so g
+    then has m distinct roots below -2.
+
+    The search reads g's sign at y = -2 - z by homogeneous integer Horner,
+    for z = 0 and z on the powers of two from 2^-low to 2^top, then at
+    the midpoints of that grid, up to _REFINEMENTS times.  2^top exceeds
+    every root's modulus by Fujiwara's bound |y| <= 2 max_i
+    |g_(m-i) / g_m|^(1/i), in bit lengths.  If every root y_j lies below
+    -2, then sum_j 1 / (-2 - y_j) = |g'(-2) / g(-2)|, so no root has
+    z < |g(-2) / g'(-2)|, which exceeds 2^-low.  The bounds only place the
+    grid: the points are checked whatever they are."""
+    m = len(g) - 1
+    if m == 0:
+        return [(-2, 1)]
+    lead = abs(g[-1]).bit_length()
+    top = 1 + max((-((lead - abs(a).bit_length() - 1) // i)
+                   for i, a in enumerate(reversed(g[:-1]), 1) if a), default=0)
+    at, slope = 0, 0
+    for a in reversed(g):
+        slope = slope * -2 + at
+        at = at * -2 + a
+    if at == 0 or slope == 0:
+        return None
+    low = abs(slope).bit_length() - abs(at).bit_length() + 1
+    shift = max(low, 0) + _REFINEMENTS
+    scaled = [a << shift * (m - i) for i, a in enumerate(g)][::-1]
+
+    def sign(z: int) -> int:
+        # g(y) * 2^(shift m) at y = -(2^(shift + 1) + z) / 2^shift.
+        num = -((2 << shift) + z)
+        value = 0
+        for a in scaled:
+            value = value * num + a
+        return (value > 0) - (value < 0)
+
+    zs = [0] + [1 << (j + shift) for j in range(-low, top + 1)]
+    signs = [sign(z) for z in zs]
+    for refinement in range(_REFINEMENTS + 1):
+        firsts = []
+        last = 0
+        for z, s in zip(zs, signs):
+            if s and s != last:
+                firsts.append(z)
+                last = s
+        if len(firsts) == m + 1:
+            return [(-((2 << shift) + z), 1 << shift) for z in reversed(firsts)]
+        if refinement == _REFINEMENTS:
+            return None
+        mids = [(a + b) >> 1 for a, b in zip(zs, zs[1:])]
+        zs = [z for pair in zip(zs, mids) for z in pair] + zs[-1:]
+        signs = [s for pair in zip(signs, map(sign, mids)) for s in pair] + signs[-1:]
+
+
 def _sign_at(c: list[int], point) -> int:
     if point is POS_INF:
         value = c[-1]
@@ -248,18 +327,26 @@ def is_real_rooted(p: IntPolynomial) -> bool:
     """True iff every root is real.  Leading zero coefficients are trimmed,
     and a nonzero constant counts as real-rooted.
 
-    Three exact reductions keep the verdict and shrink the one Sturm chain:
-    (a) the low-order zeros, the root x = 0, are stripped; (b) (1 + x) is
-    divided out while -1 is a root; (c) if the rest q is palindromic, it
-    has even degree 2m (an odd-degree palindrome has the root -1) and
-    q(x) = x^m g(x + 1/x).  Each root y of g gives the two roots of
-    x^2 - y x + 1, both real iff y is real with |y| >= 2, so q is
-    real-rooted iff g's distinct roots are all real and none lies in
-    (-2, 2); y = 2 is the double root x = 1, and g(-2) != 0 after (b).
-    Otherwise the chain is q's own.  Either chain is that of the
-    square-free part, whose degree is the number of distinct roots; the
-    division by gcd(q, q') flips every sign at -inf or +inf together, so
-    the count of real roots is unchanged."""
+    Two exact reductions keep the verdict: (a) the low-order zeros, the
+    root x = 0, are stripped; (b) (1 + x) is divided out while -1 is a
+    root.  If the rest q is palindromic, it has even degree 2m (an
+    odd-degree palindrome has the root -1) and q(x) = x^m g(x + 1/x).
+    Each root y of g gives the two roots of x^2 - y x + 1, both real iff y
+    is real with |y| >= 2, so q is real-rooted iff g's distinct roots are
+    all real and none lies in (-2, 2); y = 2 is the double root x = 1, and
+    g(-2) != 0 after (b).
+
+    The first route that settles the verdict gives it:
+    (1) q breaks one of Newton's inequalities (``_newton_fails``): False.
+    (2) q is palindromic and g changes sign m times at points at or below
+        -2 (``_sign_change_points``): by the intermediate value theorem g
+        has m distinct roots below -2, each giving two distinct negative
+        roots of q, so q has 2m distinct real roots: True.
+    (3) One Sturm chain decides: that of g if q is palindromic, else q's
+        own.  Either chain is that of the square-free part, whose degree
+        is the number of distinct roots; the division by gcd(q, q') flips
+        every sign at -inf or +inf together, so the count of real roots is
+        unchanged."""
     c = _nonzero_coefficients(p)
     k = 0
     while c[k] == 0:
@@ -267,8 +354,14 @@ def is_real_rooted(p: IntPolynomial) -> bool:
     q = c[k:]
     while len(q) > 1 and (quotient := _divide_one_plus_x(q)) is not None:
         q = quotient
+    if _newton_fails(q):
+        return False
     palindromic = q == q[::-1]
-    chain = _square_free_chain(_palindromic_reduction(q) if palindromic else q)
+    if palindromic:
+        g = _palindromic_reduction(q)
+        if _sign_change_points(g) is not None:
+            return True
+    chain = _square_free_chain(g if palindromic else q)
     if palindromic:
         # g's roots in (-2, 2]: only y = 2, the double root x = 1, may be one.
         inside = _sign_variations(chain, -2) - _sign_variations(chain, 2)

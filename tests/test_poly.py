@@ -1,3 +1,5 @@
+import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from wreath_eulerian import (
     is_unimodal,
     real_root_count,
 )
-from wreath_eulerian import poly
+from wreath_eulerian import enumeration, poly
 from wreath_eulerian.poly import NEG_INF, POS_INF
 
 
@@ -331,3 +333,201 @@ class TestReductions:
         for q in (p, p * IntPolynomial(p.coefficients[::-1])):
             assert is_real_rooted(q) == \
                 (real_root_count(q) == square_free_degree(q))
+
+
+@functools.cache
+def flag_rows(alpha, n_max, beta=0):
+    """Flag rows n = 1..n_max: last color beta (0 is the quotient), or the
+    full group for beta=None."""
+    return tuple(enumeration._rows(alpha, n_max, "flag", beta, 10 ** 600))
+
+
+def fraction_value(coeffs, x):
+    """The little-endian coeffs at the rational x, by Horner over Fraction."""
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
+def check_certificate(p, g, points):
+    """Re-check a sign-change certificate with Fraction arithmetic alone:
+    g, of degree m, is nonzero with alternating signs at m + 1 points
+    y_0 < ... < y_m = -2, so it has m distinct roots below -2; and
+    p(x) = x^(k+m) (1 + x)^j g(x + 1/x), checked at deg p + 1 points, so
+    every root of p is real."""
+    m = len(g) - 1
+    ys = [Fraction(a, b) for a, b in points]
+    assert len(ys) == m + 1 and ys == sorted(set(ys)) and ys[-1] == -2
+    values = [fraction_value(g, y) for y in ys]
+    assert values[-1] != 0
+    assert all(u * v < 0 for u, v in zip(values, values[1:]))
+    c = list(p.coefficients)
+    while c[-1] == 0:
+        c.pop()
+    k = next(i for i, a in enumerate(c) if a)
+    j = len(c) - 1 - k - 2 * m
+    assert j >= 0
+    for x in range(1, len(c) + 1):
+        assert fraction_value(c, x) == \
+            x ** (k + m) * (1 + x) ** j * fraction_value(g, x + Fraction(1, x))
+
+
+def chain_verdict(p):
+    """The verdict of p's own Sturm chain, with no reduction and no fast
+    route: as many distinct real roots as distinct roots."""
+    return real_root_count(p) == square_free_degree(p)
+
+
+def random_products(seed, count, factors):
+    """Seeded products of ``factors(rng)`` factors, each taken to a power
+    1..3, times a unit; the zero polynomial is left out."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = IntPolynomial((rng.choice([1, -1, 2, 3]),))
+        for f in factors(rng):
+            for _ in range(rng.randint(1, 3)):
+                p = p * IntPolynomial(f)
+        if not p.is_zero():
+            out.append(p)
+    return out
+
+
+#: Linear, (1 + x), x, (1 - x), real quadratic and unit-circle factors.
+FACTORS = [(1, 1), (0, 1), (-1, 1), (1, -1), (2, 1), (-3, 1), (1, 3, 1),
+           (1, 5, 6), (-2, 1, 1), (1, 1, 1), (1, 0, 1), (1, -1, 1),
+           (2, 1, 1), (1, 4, 1), (3, -10, 3)]
+
+
+def palindromic_mix(rng):
+    """Up to four named factors; the caller multiplies every other product
+    by its own reverse."""
+    return rng.sample(FACTORS, rng.randint(0, 4))
+
+
+def repeated_roots(rng):
+    """A linear factor and up to two random quadratics: mostly not
+    palindromic, with repeated roots."""
+    return [(rng.randint(-6, 6), rng.choice([1, -1, 2]))] + [
+        tuple(rng.randint(-5, 5) for _ in range(3))
+        for _ in range(rng.randint(0, 2))]
+
+
+class TestRoutes:
+    """Which route decides is_real_rooted: Newton's inequalities reject, a
+    sign-change certificate accepts a palindromic rest, and the Sturm chain
+    runs only when neither settles the verdict.  Every certificate is
+    re-checked with Fraction arithmetic that shares no code with poly."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """Refuses the Sturm chain; records every Newton verdict and every
+        certificate search as (g, points)."""
+        seen = {"newton": [], "certificates": []}
+        newton, search = poly._newton_fails, poly._sign_change_points
+
+        def refuse(c):
+            raise AssertionError("Sturm chain built")
+
+        def record_newton(c):
+            seen["newton"].append(newton(c))
+            return seen["newton"][-1]
+
+        def record_search(g):
+            seen["certificates"].append((g, search(g)))
+            return seen["certificates"][-1][1]
+
+        monkeypatch.setattr(poly, "_square_free_chain", refuse)
+        monkeypatch.setattr(poly, "_newton_fails", record_newton)
+        monkeypatch.setattr(poly, "_sign_change_points", record_search)
+        return seen
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    @pytest.mark.parametrize("beta", [0, None, "last"],
+                             ids=["quotient", "full", "fixed"])
+    def test_flag_rows_are_certified(self, routes, alpha, beta):
+        if beta == "last":
+            beta = alpha - 1
+        for p in flag_rows(alpha, 60, beta):
+            del routes["certificates"][:]
+            assert is_real_rooted(p)
+            [(g, points)] = routes["certificates"]
+            check_certificate(p, g, points)
+        assert not any(routes["newton"])
+
+    def test_newton_rejects_no_alpha_one_or_two_row(self, routes):
+        # Real-rooted rows keep every Newton inequality, by the theorem.
+        for p in flag_rows(1, 60) + flag_rows(2, 100):
+            assert is_real_rooted(p)
+        assert len(routes["newton"]) == 160 and not any(routes["newton"])
+
+    @pytest.mark.parametrize("alpha", range(3, 8))
+    def test_newton_rejects_every_row_past_one_above_alpha_two(
+            self, routes, alpha):
+        for p in flag_rows(alpha, 30)[1:]:
+            assert not is_real_rooted(p)
+        assert routes["newton"] == [True] * 29
+        assert routes["certificates"] == []
+
+    def test_newton_inequalities_by_hand(self):
+        assert not poly._newton_fails([1, 4, 1])      # real roots
+        assert poly._newton_fails([1, 1, 1])          # 1 * 1 * 1 < 1 * 1 * 2 * 2
+        assert not poly._newton_fails([1, 2, 1])      # (1 + x)^2, equality
+        # x^3 - x: zero and mixed-sign coefficients keep every inequality.
+        assert not poly._newton_fails([0, -1, 0, 1])
+        # Constants and linear polynomials have no inequality to break.
+        assert not poly._newton_fails([5])
+        assert not poly._newton_fails([2, -7])
+
+    @pytest.mark.parametrize("g", [
+        [5],                 # m = 0: the point -2 alone
+        [3, 1],              # y + 3: root -3
+        [12, 7, 1],          # (y + 3)(y + 4)
+        [-12, -7, -1],       # negated
+    ])
+    def test_certificate_examples(self, g):
+        points = poly._sign_change_points(g)
+        assert points is not None
+        ys = [Fraction(a, b) for a, b in points]
+        values = [fraction_value(g, y) for y in ys]
+        assert len(ys) == len(g) and ys[-1] == -2
+        assert all(u * v < 0 for u, v in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("g", [
+        [1, 0, 1],           # y^2 + 1: no real root
+        [2, 1],              # y + 2: the root -2 itself
+        [1, 1],              # y + 1: root inside (-2, 2)
+        [-3, 1],             # y - 3: a real root above 2
+        [9, 6, 1],           # (y + 3)^2: a double root
+        [0, 0, 1],           # y^2
+    ])
+    def test_no_certificate_without_distinct_roots_below_minus_two(self, g):
+        assert poly._sign_change_points(g) is None
+
+    @pytest.mark.parametrize("alpha", range(1, 8))
+    def test_verdicts_match_the_reduced_chain(self, monkeypatch, alpha):
+        # Every report row to n = 40, against is_real_rooted with both fast
+        # routes switched off.
+        rows = flag_rows(alpha, 40)
+        fast = [is_real_rooted(p) for p in rows]
+        monkeypatch.setattr(poly, "_newton_fails", lambda c: False)
+        monkeypatch.setattr(poly, "_sign_change_points", lambda g: None)
+        assert fast == [is_real_rooted(p) for p in rows]
+        assert fast == [alpha <= 2 or n == 1 for n in range(1, 41)]
+
+    @pytest.mark.parametrize("alpha,n_max", [
+        (1, 40), (2, 40), (3, 20), (4, 20), (5, 20), (6, 20), (7, 20)])
+    def test_verdicts_match_the_direct_chain(self, alpha, n_max):
+        for p in flag_rows(alpha, n_max):
+            assert is_real_rooted(p) == chain_verdict(p)
+
+    def test_random_products_match_the_direct_chain(self):
+        products = random_products(7, 3500, palindromic_mix)
+        products = [p * IntPolynomial(p.coefficients[::-1]) if i % 2 else p
+                    for i, p in enumerate(products)]
+        products += random_products(9, 3600, repeated_roots)
+        verdicts = [is_real_rooted(p) for p in products]
+        assert verdicts == [chain_verdict(p) for p in products]
+        # Both kinds of verdict occur often.
+        assert 2000 < sum(verdicts) < len(verdicts) - 2000
