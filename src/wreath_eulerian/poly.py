@@ -9,16 +9,19 @@ Real-rootedness is decided exactly, by the first of three routes that
 settles it.  The real roots x = 0 and x = -1 are divided out first, and a
 palindromic rest q(x) = x^m g(x + 1/x) is read from g, of half the degree
 (Petersen, *Eulerian Numbers*, ch. 4).
-(1) Newton's inequalities (Hardy, Littlewood and Polya, *Inequalities*,
+(1) Newton's inequalities (Hardy, Littlewood and Pólya, *Inequalities*,
     §2.22) hold for every real-rooted polynomial, so a coefficient that
     breaks one proves False.
 (2) For a palindromic rest, m + 1 points at or below -2 at which g takes
     nonzero values of alternating sign give m distinct roots of g below -2
     by the intermediate value theorem, so every root of q is real: True.
-(3) Otherwise one integer Sturm chain decides, that of the square-free
-    part q / gcd(q, q'): it has the roots of q as a set, as many as its
-    degree, so q is real-rooted iff the chain counts that many distinct
-    real roots.
+    Eulerian polynomials have simple negative roots (Frobenius; Brändén,
+    "Unimodality, log-concavity, real-rootedness and beyond", 2015), so
+    the alpha <= 2 flag rows find such points.
+(3) Otherwise one integer Sturm chain decides (Sturm's theorem), that of
+    the square-free part q / gcd(q, q'): it has the roots of q as a set,
+    as many as its degree, so q is real-rooted iff the chain counts that
+    many distinct real roots.  ``real_root_count`` always takes the chain.
 No floating point anywhere.
 """
 from __future__ import annotations
