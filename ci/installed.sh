@@ -13,6 +13,30 @@ if [ "$#" -eq 0 ]; then
 fi
 cli=("$@")
 
+# expect STATUS ARGS...: the command exits STATUS with one stderr line.
+expect() {
+  want=$1; shift
+  status=0
+  "${cli[@]}" "$@" > /dev/null 2> stderr.txt || status=$?
+  lines=$(wc -l < stderr.txt)
+  if [ "$status" -ne "$want" ] || [ "$lines" -ne 1 ]; then
+    echo "wreath-eulerian $*: exit $status, $lines stderr lines; want exit $want, 1 line"
+    exit 1
+  fi
+}
+# one_pass WORD COMMAND...: the command prints exactly one line, to
+# walk.txt, a PASS line that holds WORD unless WORD is empty.
+one_pass() {
+  word=$1; shift
+  "$@" > walk.txt
+  if [ "$(wc -l < walk.txt)" -ne 1 ] || ! grep -q '^PASS ' walk.txt \
+      || { [ -n "$word" ] && ! grep -qw "$word" walk.txt; }; then
+    echo "$*: want one PASS line${word:+ with $word}"
+    cat walk.txt
+    exit 1
+  fi
+}
+
 "${cli[@]}" --help
 # Every run imports the CLI, so it must not pull in dataclasses or
 # inspect; tier-1 checks this for src/, here it is the installed copy.
@@ -29,47 +53,18 @@ if [ "$passes" -ne 60 ]; then
 fi
 # Each stream verifier checks the 9720 elements of the (3, 5) quotient.
 for target in symmetry involution coset-invariance; do
-  "${cli[@]}" verify "$target" --alpha 3 --n 5 > walk.txt
-  if [ "$(wc -l < walk.txt)" -ne 1 ] || ! grep -q '^PASS ' walk.txt \
-      || ! grep -qw 9720 walk.txt; then
-    echo "verify $target --alpha 3 --n 5: want one PASS line with 9720"
-    cat walk.txt
-    exit 1
-  fi
+  one_pass 9720 "${cli[@]}" verify "$target" --alpha 3 --n 5
 done
 # The stream verifiers walk the n! windows once, then check one window per
 # (descent class, coloring): 2^(n-1) * alpha^(n-1) checks.  So the
 # 5160960 elements of the (2, 8) quotient, the 3674160 cosets of (3, 7) and
 # the 92897280 elements of the (2, 9) quotient each take about a second.
-timeout 120 "${cli[@]}" verify symmetry --alpha 2 --n 8 > walk.txt
-if [ "$(wc -l < walk.txt)" -ne 1 ] || ! grep -q '^PASS ' walk.txt \
-    || ! grep -qw 5160960 walk.txt; then
-  echo "verify symmetry --alpha 2 --n 8: want one PASS line with 5160960"
-  cat walk.txt
-  exit 1
-fi
-timeout 60 "${cli[@]}" verify coset-invariance --alpha 3 --n 7 > walk.txt
-if [ "$(wc -l < walk.txt)" -ne 1 ] || ! grep -q '^PASS ' walk.txt \
-    || ! grep -qw 3674160 walk.txt; then
-  echo "verify coset-invariance --alpha 3 --n 7: want one PASS line with 3674160"
-  cat walk.txt
-  exit 1
-fi
-timeout 60 "${cli[@]}" verify symmetry --alpha 2 --n 9 > walk.txt
-if [ "$(wc -l < walk.txt)" -ne 1 ] || ! grep -q '^PASS ' walk.txt \
-    || ! grep -qw 92897280 walk.txt; then
-  echo "verify symmetry --alpha 2 --n 9: want one PASS line with 92897280"
-  cat walk.txt
-  exit 1
-fi
+one_pass 5160960 timeout 120 "${cli[@]}" verify symmetry --alpha 2 --n 8
+one_pass 3674160 timeout 60 "${cli[@]}" verify coset-invariance --alpha 3 --n 7
+one_pass 92897280 timeout 60 "${cli[@]}" verify symmetry --alpha 2 --n 9
 # The cap reads each domain's own size: 9720 admits the (3, 5)
 # quotient, and the coset verifier's 29160-element full group not.
-"${cli[@]}" verify symmetry --alpha 3 --n 5 --cap 9720 > walk.txt
-if [ "$(wc -l < walk.txt)" -ne 1 ] || ! grep -q '^PASS ' walk.txt; then
-  echo "verify symmetry --alpha 3 --n 5 --cap 9720: want one PASS line"
-  cat walk.txt
-  exit 1
-fi
+one_pass "" "${cli[@]}" verify symmetry --alpha 3 --n 5 --cap 9720
 # A builder step costs O(alpha * n) big-integer operations on states
 # of at most n slots, so the (4000, 2) quotient row, a header and
 # coefficients 0..4000, takes well under a minute.  The csv format
@@ -102,16 +97,6 @@ if [ "$(wc -l < wide.csv)" -ne 20002 ]; then
   exit 1
 fi
 # A usage error exits 2 and a cap refusal 3, each with one stderr line.
-expect() {
-  want=$1; shift
-  status=0
-  "${cli[@]}" "$@" > /dev/null 2> stderr.txt || status=$?
-  lines=$(wc -l < stderr.txt)
-  if [ "$status" -ne "$want" ] || [ "$lines" -ne 1 ]; then
-    echo "wreath-eulerian $*: exit $status, $lines stderr lines; want exit $want, 1 line"
-    exit 1
-  fi
-}
 expect 2 poly --alpha 0 --n 2
 expect 2 poly --alpha 2 --n 3 --beta 7
 expect 2 verify symmetry

@@ -7,8 +7,8 @@ if a leading coefficient were zero.
 
 Real-rootedness is decided exactly, by the first of three routes that
 settles it.  The real roots x = 0 and x = -1 are divided out first, and a
-palindromic rest q(x) = x^m g(x + 1/x) is read from g, of half the degree
-(Petersen, *Eulerian Numbers*, ch. 4).
+palindromic rest q(x) = x^m g(x + 1/x) has g of half the degree (Petersen,
+*Eulerian Numbers*, ch. 4).
 (1) Newton's inequalities (Hardy, Littlewood and Pólya, *Inequalities*,
     §2.22) hold for every real-rooted polynomial, so a coefficient that
     breaks one proves False.
@@ -18,10 +18,11 @@ palindromic rest q(x) = x^m g(x + 1/x) is read from g, of half the degree
     Eulerian polynomials have simple negative roots (Frobenius; Brändén,
     "Unimodality, log-concavity, real-rootedness and beyond", 2015), so
     the alpha <= 2 flag rows find such points.
-(3) Otherwise one integer Sturm chain decides (Sturm's theorem), that of
-    the square-free part q / gcd(q, q'): it has the roots of q as a set,
-    as many as its degree, so q is real-rooted iff the chain counts that
-    many distinct real roots.  ``real_root_count`` always takes the chain.
+(3) Otherwise q's own square-free chain, read at -inf and +inf, decides
+    (Sturm's theorem): the chain of q / gcd(q, q') has the roots of q as
+    a set, as many as its degree, so q is real-rooted iff the chain counts
+    that many distinct real roots.  ``real_root_count`` always takes the
+    chain.
 No floating point anywhere.
 """
 from __future__ import annotations
@@ -334,10 +335,8 @@ def is_real_rooted(p: IntPolynomial) -> bool:
     root x = 0, are stripped; (b) (1 + x) is divided out while -1 is a
     root.  If the rest q is palindromic, it has even degree 2m (an
     odd-degree palindrome has the root -1) and q(x) = x^m g(x + 1/x).
-    Each root y of g gives the two roots of x^2 - y x + 1, both real iff y
-    is real with |y| >= 2, so q is real-rooted iff g's distinct roots are
-    all real and none lies in (-2, 2); y = 2 is the double root x = 1, and
-    g(-2) != 0 after (b).
+    Each root y of g gives the two roots of x^2 - y x + 1, both real and
+    distinct iff y is real with |y| > 2.
 
     The first route that settles the verdict gives it:
     (1) q breaks one of Newton's inequalities (``_newton_fails``): False.
@@ -345,11 +344,11 @@ def is_real_rooted(p: IntPolynomial) -> bool:
         -2 (``_sign_change_points``): by the intermediate value theorem g
         has m distinct roots below -2, each giving two distinct negative
         roots of q, so q has 2m distinct real roots: True.
-    (3) One Sturm chain decides: that of g if q is palindromic, else q's
-        own.  Either chain is that of the square-free part, whose degree
-        is the number of distinct roots; the division by gcd(q, q') flips
-        every sign at -inf or +inf together, so the count of real roots is
-        unchanged."""
+    (3) q's own square-free chain, read at -inf and +inf, decides.  Its
+        degree is the number of distinct roots of q, repeated roots and
+        roots on the unit circle included, and the division by
+        gcd(q, q') flips every sign at -inf or +inf together, so the count
+        of real roots is unchanged."""
     c = _nonzero_coefficients(p)
     k = 0
     while c[k] == 0:
@@ -359,17 +358,10 @@ def is_real_rooted(p: IntPolynomial) -> bool:
         q = quotient
     if _newton_fails(q):
         return False
-    palindromic = q == q[::-1]
-    if palindromic:
-        g = _palindromic_reduction(q)
-        if _sign_change_points(g) is not None:
+    if q == q[::-1]:
+        if _sign_change_points(_palindromic_reduction(q)) is not None:
             return True
-    chain = _square_free_chain(g if palindromic else q)
-    if palindromic:
-        # g's roots in (-2, 2]: only y = 2, the double root x = 1, may be one.
-        inside = _sign_variations(chain, -2) - _sign_variations(chain, 2)
-        if inside != (_sign_at(chain[0], 2) == 0):
-            return False
+    chain = _square_free_chain(q)
     real = (_sign_variations(chain, NEG_INF)
             - _sign_variations(chain, POS_INF))
     return real == len(chain[0]) - 1

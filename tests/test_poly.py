@@ -285,10 +285,32 @@ class TestRealRootedness:
         assert not is_real_rooted(p * IntPolynomial((k, 0, 1)))
 
 
+def chain_only(monkeypatch):
+    """Switches off both fast routes of is_real_rooted, Newton's
+    inequalities and the sign-change certificate, so the Sturm chain of
+    the rest decides every verdict."""
+    monkeypatch.setattr(poly, "_newton_fails", lambda c: False)
+    monkeypatch.setattr(poly, "_sign_change_points", lambda g: None)
+
+
+#: Inputs with a palindromic rest, some with roots on the unit circle.
+PALINDROMIC_EXAMPLES = [
+    ((1, 0, 1), False),            # 1 + x^2: g = y, root 0
+    ((1, 1, 1), False),            # g = y + 1
+    ((1, -1, 1), False),           # g = y - 1
+    ((1, -4, 6, -4, 1), True),     # (1 - x)^4: g = (y - 2)^2
+    # (x^2 + x + 1)^2 (x^2 - 3x + 1): g = (y + 1)^2 (y - 3), a double
+    # root in (-2, 2) beside a real pair
+    ((1, -1, -2, -5, -2, -1, 1), False),
+    # (1 - x)^2 (3x^2 - 10x + 3) (1 + x)^3 x^2: only real roots
+    ((0, 0, 3, -7, -13, 17, 17, -13, -7, 3), True),
+]
+
+
 class TestReductions:
-    """is_real_rooted strips x^k and (1 + x)^m and decides a palindromic
-    rest q(x) = x^m g(x + 1/x) from g; these cases know their answer by
-    construction."""
+    """is_real_rooted strips x^k and (1 + x)^m, and may certify a
+    palindromic rest q(x) = x^m g(x + 1/x) from g; these cases know their
+    answer by construction."""
 
     @given(palindromic_products())
     def test_palindromic_products(self, case):
@@ -297,21 +319,19 @@ class TestReductions:
         assert real_root_count(p) == distinct
         assert (real_root_count(p) == square_free_degree(p)) == real
 
-    @pytest.mark.parametrize("coeffs,expected", [
-        ((1, 0, 1), False),            # 1 + x^2: g = y, root 0
-        ((1, 1, 1), False),            # g = y + 1
-        ((1, -1, 1), False),           # g = y - 1
-        ((1, -4, 6, -4, 1), True),     # (1 - x)^4: g = (y - 2)^2
-        # (x^2 + x + 1)^2 (x^2 - 3x + 1): g = (y + 1)^2 (y - 3), a double
-        # root in (-2, 2) beside a real pair
-        ((1, -1, -2, -5, -2, -1, 1), False),
-        # (1 - x)^2 (3x^2 - 10x + 3) (1 + x)^3 x^2: only real roots
-        ((0, 0, 3, -7, -13, 17, 17, -13, -7, 3), True),
-    ])
+    @pytest.mark.parametrize("coeffs,expected", PALINDROMIC_EXAMPLES)
     def test_palindromic_examples(self, coeffs, expected):
         p = IntPolynomial(coeffs)
         assert is_real_rooted(p) == expected
         assert (real_root_count(p) == square_free_degree(p)) == expected
+
+    @pytest.mark.parametrize("coeffs,expected", PALINDROMIC_EXAMPLES)
+    def test_palindromic_examples_by_the_chain_alone(
+            self, monkeypatch, coeffs, expected):
+        # The chain of the square-free rest sees the double root x = 1 of
+        # (1 - x)^4 and the double pair on the unit circle.
+        chain_only(monkeypatch)
+        assert is_real_rooted(IntPolynomial(coeffs)) == expected
 
     @pytest.mark.parametrize("coeffs,expected", [
         ((-1, 0, 1), True),            # (x - 1)(x + 1): rest x - 1
@@ -465,9 +485,13 @@ class TestRoutes:
     @pytest.mark.parametrize("alpha", range(3, 8))
     def test_newton_rejects_every_row_past_one_above_alpha_two(
             self, routes, alpha):
-        for p in flag_rows(alpha, 30)[1:]:
+        # Past n = 1 on the quotient and on last color alpha - 1, and from
+        # n = 1 on the full group, whose n = 1 row is [alpha]_x.
+        rows = (flag_rows(alpha, 30)[1:] + flag_rows(alpha, 30, None)
+                + flag_rows(alpha, 30, alpha - 1)[1:])
+        for p in rows:
             assert not is_real_rooted(p)
-        assert routes["newton"] == [True] * 29
+        assert routes["newton"] == [True] * 88
         assert routes["certificates"] == []
 
     def test_newton_inequalities_by_hand(self):
@@ -506,15 +530,15 @@ class TestRoutes:
         assert poly._sign_change_points(g) is None
 
     @pytest.mark.parametrize("alpha", range(1, 8))
-    def test_verdicts_match_the_reduced_chain(self, monkeypatch, alpha):
-        # Every report row to n = 40, against is_real_rooted with both fast
-        # routes switched off.
+    def test_verdicts_and_the_chain_alone_match_the_theorem(
+            self, monkeypatch, alpha):
+        # A flag quotient row is real-rooted iff alpha <= 2 or n = 1: on
+        # every report row to n = 40, then with the chain alone to n = 20.
         rows = flag_rows(alpha, 40)
-        fast = [is_real_rooted(p) for p in rows]
-        monkeypatch.setattr(poly, "_newton_fails", lambda c: False)
-        monkeypatch.setattr(poly, "_sign_change_points", lambda g: None)
-        assert fast == [is_real_rooted(p) for p in rows]
-        assert fast == [alpha <= 2 or n == 1 for n in range(1, 41)]
+        theorem = [alpha <= 2 or n == 1 for n in range(1, 41)]
+        assert [is_real_rooted(p) for p in rows] == theorem
+        chain_only(monkeypatch)
+        assert [is_real_rooted(p) for p in rows[:20]] == theorem[:20]
 
     @pytest.mark.parametrize("alpha,n_max", [
         (1, 40), (2, 40), (3, 20), (4, 20), (5, 20), (6, 20), (7, 20)])
