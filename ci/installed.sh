@@ -90,6 +90,17 @@ if [ "$(wc -l < report.txt)" -ne 100 ] \
   echo "report --alpha 2 --max-n 100: want 100 rows, all real_rooted=true"
   exit 1
 fi
+# The certificate proves the other domains' alpha = 2 rows too: the full
+# group and last color 1 at n = 60, capped at 2^60 * 60!.
+for domain in "full" "fixed --beta 1"; do
+  # $domain is split on purpose: "fixed --beta 1" is two flags.
+  timeout 60 "${cli[@]}" poly --alpha 2 --n 60 --domain $domain --cap 9593444981835986954891939947669322185182489942608389896364094195294295395488811817369600000000000000 > domain.txt
+  if ! grep -qx 'real_rooted: true' domain.txt; then
+    echo "poly --alpha 2 --n 60 --domain $domain: want real_rooted: true"
+    tail -3 domain.txt
+    exit 1
+  fi
+done
 # Builder memory grows like alpha * n, not alpha^2, so (20000, 2) fits too.
 timeout 60 "${cli[@]}" poly --alpha 20000 --n 2 --format csv > wide.csv
 if [ "$(wc -l < wide.csv)" -ne 20002 ]; then

@@ -108,12 +108,12 @@ def _check_parameters(alpha: int, n: int) -> None:
 
 
 def _admit(alpha: int, n: int, beta: int | None, cap: int | None) -> None:
-    """The domain rule: check alpha, n and beta (None is the full group),
-    then refuse a domain larger than the resolved cap."""
-    _check_parameters(alpha, n)
+    """The domain rule: check alpha and n (through the domain's size), then
+    beta (None is the full group), then refuse a domain larger than the
+    resolved cap."""
+    size = full_cardinality(alpha, n) if beta is None else quotient_cardinality(alpha, n)
     if beta is not None:
         _require_color("beta", beta, alpha)
-    size = full_cardinality(alpha, n) if beta is None else quotient_cardinality(alpha, n)
     cap = resolve_cap(cap)
     if size > cap:
         raise CapExceededError(size, cap)

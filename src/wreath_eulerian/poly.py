@@ -12,9 +12,10 @@ palindromic rest q(x) = x^m g(x + 1/x) has g of half the degree (Petersen,
 (1) Newton's inequalities (Hardy, Littlewood and Pólya, *Inequalities*,
     §2.22) hold for every real-rooted polynomial, so a coefficient that
     breaks one proves False.
-(2) For a palindromic rest, m + 1 points at or below -2 at which g takes
-    nonzero values of alternating sign give m distinct roots of g below -2
-    by the intermediate value theorem, so every root of q is real: True.
+(2) For a palindromic rest, if P(z) = g(-2 - z) takes nonzero values of
+    alternating sign at m + 1 points 0 = z_0 < ... < z_m, found on a dyadic
+    grid between Fujiwara's bounds on reversed P and on P, it has m distinct
+    roots z > 0, so g has m below -2 and every root of q is real: True.
     Eulerian polynomials have simple negative roots (Frobenius; Brändén,
     "Unimodality, log-concavity, real-rootedness and beyond", 2015), so
     the alpha <= 2 flag rows find such points.
@@ -190,21 +191,25 @@ def _divide_one_plus_x(c: list[int]) -> list[int] | None:
 
 
 def _palindromic_reduction(c: list[int]) -> list[int]:
-    """g with c(x) = x^m g(x + 1/x), for a palindromic c of degree 2m.
-    c(x) / x^m = c_m + sum_j c_(m+j) (x^j + x^-j), and x^j + x^-j is D_j(y)
-    at y = x + 1/x, where D_0 = 2, D_1 = y and D_(j+1) = y D_j - D_(j-1)."""
+    """P with c(x) = x^m P(z) at x + 1/x = -2 - z, for a palindromic c of
+    degree 2m; so P(z) = g(-2 - z) for the g with c(x) = x^m g(x + 1/x).
+    c(x) / x^m = c_m + sum_j c_(m+j) (x^j + x^-j), and x^j + x^-j is
+    (-1)^j G_j(z), where G_0 = 2, G_1 = 2 + z and
+    G_(j+1) = (2 + z) G_j - G_(j-1)."""
     m = (len(c) - 1) // 2
-    g = [c[m]] + [0] * m
-    prev, cur = [2], [0, 1]
+    p = [c[m]] + [0] * m
+    prev, cur = [2], [2, 1]
     for j in range(1, m + 1):
-        a = c[m + j]
+        a = -c[m + j] if j % 2 else c[m + j]
         for i, d in enumerate(cur):
-            g[i] += a * d
+            p[i] += a * d
+        # G_(j-1) is one term shorter than G_j: 2 G_j's top term goes alone.
         nxt = [0] + cur
-        for i, d in enumerate(prev):
-            nxt[i] -= d
+        for i, e in enumerate(prev):
+            nxt[i] += 2 * cur[i] - e
+        nxt[-2] += 2 * cur[-1]
         prev, cur = cur, nxt
-    return g
+    return p
 
 
 def _newton_fails(c: list[int]) -> bool:
@@ -223,42 +228,36 @@ def _newton_fails(c: list[int]) -> bool:
 _REFINEMENTS = 4
 
 
-def _sign_change_points(g: list[int]) -> list[tuple[int, int]] | None:
-    """Points y_0 < ... < y_m = -2, as (numerator, denominator) pairs, at
-    which g of degree m takes nonzero values of alternating sign, or None
-    if the search finds none.  Between two such points lies a root, so g
-    then has m distinct roots below -2.
+def _root_bits(p: list[int]) -> int:
+    """A b with every root of p below 2^b in modulus: Fujiwara's bound
+    |z| <= 2 max_i |p_(d-i) / p_d|^(1/i), in bit lengths."""
+    lead = abs(p[-1]).bit_length()
+    return 1 + max((-((lead - abs(a).bit_length() - 1) // i)
+                    for i, a in enumerate(reversed(p[:-1]), 1) if a), default=0)
 
-    The search reads g's sign at y = -2 - z by homogeneous integer Horner,
-    for z = 0 and z on the powers of two from 2^-low to 2^top, then at
-    the midpoints of that grid, up to _REFINEMENTS times.  2^top exceeds
-    every root's modulus by Fujiwara's bound |y| <= 2 max_i
-    |g_(m-i) / g_m|^(1/i), in bit lengths.  If every root y_j lies below
-    -2, then sum_j 1 / (-2 - y_j) = |g'(-2) / g(-2)|, so no root has
-    z < |g(-2) / g'(-2)|, which exceeds 2^-low.  The bounds only place the
-    grid: the points are checked whatever they are."""
-    m = len(g) - 1
-    if m == 0:
-        return [(-2, 1)]
-    lead = abs(g[-1]).bit_length()
-    top = 1 + max((-((lead - abs(a).bit_length() - 1) // i)
-                   for i, a in enumerate(reversed(g[:-1]), 1) if a), default=0)
-    at, slope = 0, 0
-    for a in reversed(g):
-        slope = slope * -2 + at
-        at = at * -2 + a
-    if at == 0 or slope == 0:
-        return None
-    low = abs(slope).bit_length() - abs(at).bit_length() + 1
+
+def _sign_change_points(p: list[int]) -> list[tuple[int, int]] | None:
+    """Points 0 = z_0 < ... < z_d, as (numerator, denominator) pairs, at
+    which p of degree d takes nonzero values of alternating sign, or None
+    if the search finds none.  Between two such points lies a root, so p
+    then has d distinct positive roots.
+
+    The search reads p's sign by homogeneous integer Horner at z = 0 and
+    on the powers of two from 2^-low to 2^top, then at the midpoints of
+    that grid, up to _REFINEMENTS times.  Fujiwara's bound on p puts every
+    root below 2^top, and on reversed p every nonzero root above 2^-low.
+    The bounds only place the grid: the points are checked whatever they
+    are."""
+    d = len(p) - 1
+    top, low = _root_bits(p), _root_bits(p[::-1])
     shift = max(low, 0) + _REFINEMENTS
-    scaled = [a << shift * (m - i) for i, a in enumerate(g)][::-1]
+    scaled = [a << shift * (d - i) for i, a in enumerate(p)][::-1]
 
     def sign(z: int) -> int:
-        # g(y) * 2^(shift m) at y = -(2^(shift + 1) + z) / 2^shift.
-        num = -((2 << shift) + z)
+        # p(z / 2^shift) * 2^(shift d).
         value = 0
         for a in scaled:
-            value = value * num + a
+            value = value * z + a
         return (value > 0) - (value < 0)
 
     zs = [0] + [1 << (j + shift) for j in range(-low, top + 1)]
@@ -270,8 +269,8 @@ def _sign_change_points(g: list[int]) -> list[tuple[int, int]] | None:
             if s and s != last:
                 firsts.append(z)
                 last = s
-        if len(firsts) == m + 1:
-            return [(-((2 << shift) + z), 1 << shift) for z in reversed(firsts)]
+        if len(firsts) == d + 1:
+            return [(z, 1 << shift) for z in firsts]
         if refinement == _REFINEMENTS:
             return None
         mids = [(a + b) >> 1 for a, b in zip(zs, zs[1:])]
@@ -340,10 +339,11 @@ def is_real_rooted(p: IntPolynomial) -> bool:
 
     The first route that settles the verdict gives it:
     (1) q breaks one of Newton's inequalities (``_newton_fails``): False.
-    (2) q is palindromic and g changes sign m times at points at or below
-        -2 (``_sign_change_points``): by the intermediate value theorem g
-        has m distinct roots below -2, each giving two distinct negative
-        roots of q, so q has 2m distinct real roots: True.
+    (2) q is palindromic and P(z) = g(-2 - z) changes sign m times at
+        points 0 = z_0 < ... < z_m (``_sign_change_points``, between
+        Fujiwara's bounds on reversed P and on P): g has m distinct roots
+        below -2, each giving two distinct negative roots of q, so q has
+        2m distinct real roots: True.
     (3) q's own square-free chain, read at -inf and +inf, decides.  Its
         degree is the number of distinct roots of q, repeated roots and
         roots on the unit circle included, and the division by

@@ -290,7 +290,7 @@ def chain_only(monkeypatch):
     inequalities and the sign-change certificate, so the Sturm chain of
     the rest decides every verdict."""
     monkeypatch.setattr(poly, "_newton_fails", lambda c: False)
-    monkeypatch.setattr(poly, "_sign_change_points", lambda g: None)
+    monkeypatch.setattr(poly, "_sign_change_points", lambda p: None)
 
 
 #: Inputs with a palindromic rest, some with roots on the unit circle.
@@ -318,6 +318,22 @@ class TestReductions:
         assert is_real_rooted(p) == real
         assert real_root_count(p) == distinct
         assert (real_root_count(p) == square_free_degree(p)) == real
+
+    @given(palindromic_products())
+    def test_reduction_and_certificate_of_every_rest(self, case):
+        # The rest that is_real_rooted reduces: x^k and every (1 + x) out.
+        p, real, _ = case
+        q = poly._nonzero_coefficients(p)
+        q = q[next(i for i, a in enumerate(q) if a):]
+        while len(q) > 1 and (quotient := poly._divide_one_plus_x(q)) is not None:
+            q = quotient
+        assert q == q[::-1]
+        P = poly._palindromic_reduction(q)
+        check_reduction(p, P)
+        points = poly._sign_change_points(P)
+        if points is not None:
+            check_points(P, points)
+            assert real and chain_verdict(IntPolynomial(tuple(q)))
 
     @pytest.mark.parametrize("coeffs,expected", PALINDROMIC_EXAMPLES)
     def test_palindromic_examples(self, coeffs, expected):
@@ -370,18 +386,13 @@ def fraction_value(coeffs, x):
     return value
 
 
-def check_certificate(p, g, points):
-    """Re-check a sign-change certificate with Fraction arithmetic alone:
-    g, of degree m, is nonzero with alternating signs at m + 1 points
-    y_0 < ... < y_m = -2, so it has m distinct roots below -2; and
-    p(x) = x^(k+m) (1 + x)^j g(x + 1/x), checked at deg p + 1 points, so
-    every root of p is real."""
-    m = len(g) - 1
-    ys = [Fraction(a, b) for a, b in points]
-    assert len(ys) == m + 1 and ys == sorted(set(ys)) and ys[-1] == -2
-    values = [fraction_value(g, y) for y in ys]
-    assert values[-1] != 0
-    assert all(u * v < 0 for u, v in zip(values, values[1:]))
+def check_reduction(p, P):
+    """p(x) = x^(k+m) (1 + x)^j P(-(1 + x)^2 / x) for P of degree m, with
+    Fraction arithmetic alone at deg p + 1 points, where x^k and (1 + x)^j
+    are the factors that is_real_rooted strips.  Since x + 1/x = -2 - z
+    at z = -(1 + x)^2 / x, a root z > 0 of P gives two negative roots of
+    p."""
+    m = len(P) - 1
     c = list(p.coefficients)
     while c[-1] == 0:
         c.pop()
@@ -389,8 +400,27 @@ def check_certificate(p, g, points):
     j = len(c) - 1 - k - 2 * m
     assert j >= 0
     for x in range(1, len(c) + 1):
-        assert fraction_value(c, x) == \
-            x ** (k + m) * (1 + x) ** j * fraction_value(g, x + Fraction(1, x))
+        assert fraction_value(c, x) == x ** (k + m) * (1 + x) ** j \
+            * fraction_value(P, Fraction(-(1 + x) ** 2, x))
+
+
+def check_points(P, points):
+    """P, of degree m, is nonzero with alternating signs at m + 1 points
+    0 = z_0 < ... < z_m, so it has m distinct positive roots."""
+    zs = [Fraction(a, b) for a, b in points]
+    assert len(zs) == len(P) and zs == sorted(set(zs)) and zs[0] == 0
+    values = [fraction_value(P, z) for z in zs]
+    assert values[0] != 0
+    assert all(u * v < 0 for u, v in zip(values, values[1:]))
+
+
+def check_certificate(p, P, points):
+    """Re-check a sign-change certificate with Fraction arithmetic alone:
+    P has m distinct positive roots (``check_points``), and they give the
+    2m negative roots of p's palindromic rest (``check_reduction``), so
+    every root of p is real."""
+    check_points(P, points)
+    check_reduction(p, P)
 
 
 def chain_verdict(p):
@@ -436,14 +466,15 @@ def repeated_roots(rng):
 
 class TestRoutes:
     """Which route decides is_real_rooted: Newton's inequalities reject, a
-    sign-change certificate accepts a palindromic rest, and the Sturm chain
-    runs only when neither settles the verdict.  Every certificate is
-    re-checked with Fraction arithmetic that shares no code with poly."""
+    sign-change certificate accepts a palindromic rest, read in the frame
+    z = -2 - (x + 1/x), and the Sturm chain runs only when neither settles
+    the verdict.  Every certificate is re-checked with Fraction arithmetic
+    that shares no code with poly."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
         """Refuses the Sturm chain; records every Newton verdict and every
-        certificate search as (g, points)."""
+        certificate search as (P, points)."""
         seen = {"newton": [], "certificates": []}
         newton, search = poly._newton_fails, poly._sign_change_points
 
@@ -454,8 +485,8 @@ class TestRoutes:
             seen["newton"].append(newton(c))
             return seen["newton"][-1]
 
-        def record_search(g):
-            seen["certificates"].append((g, search(g)))
+        def record_search(P):
+            seen["certificates"].append((P, search(P)))
             return seen["certificates"][-1][1]
 
         monkeypatch.setattr(poly, "_square_free_chain", refuse)
@@ -472,8 +503,8 @@ class TestRoutes:
         for p in flag_rows(alpha, 60, beta):
             del routes["certificates"][:]
             assert is_real_rooted(p)
-            [(g, points)] = routes["certificates"]
-            check_certificate(p, g, points)
+            [(P, points)] = routes["certificates"]
+            check_certificate(p, P, points)
         assert not any(routes["newton"])
 
     def test_newton_rejects_no_alpha_one_or_two_row(self, routes):
@@ -504,30 +535,28 @@ class TestRoutes:
         assert not poly._newton_fails([5])
         assert not poly._newton_fails([2, -7])
 
-    @pytest.mark.parametrize("g", [
-        [5],                 # m = 0: the point -2 alone
-        [3, 1],              # y + 3: root -3
-        [12, 7, 1],          # (y + 3)(y + 4)
-        [-12, -7, -1],       # negated
-    ])
-    def test_certificate_examples(self, g):
-        points = poly._sign_change_points(g)
+    # The ids keep the names these cases had when they were written in y.
+    @pytest.mark.parametrize("P", [
+        [5],                 # m = 0: the point 0 alone
+        [1, -1],             # 1 - z: y + 3 at y = -2 - z, root y = -3
+        [2, -3, 1],          # (1 - z)(2 - z): (y + 3)(y + 4)
+        [-2, 3, -1],         # negated
+    ], ids=[f"g{i}" for i in range(4)])
+    def test_certificate_examples(self, P):
+        points = poly._sign_change_points(P)
         assert points is not None
-        ys = [Fraction(a, b) for a, b in points]
-        values = [fraction_value(g, y) for y in ys]
-        assert len(ys) == len(g) and ys[-1] == -2
-        assert all(u * v < 0 for u, v in zip(values, values[1:]))
+        check_points(P, points)
 
-    @pytest.mark.parametrize("g", [
-        [1, 0, 1],           # y^2 + 1: no real root
-        [2, 1],              # y + 2: the root -2 itself
-        [1, 1],              # y + 1: root inside (-2, 2)
-        [-3, 1],             # y - 3: a real root above 2
-        [9, 6, 1],           # (y + 3)^2: a double root
-        [0, 0, 1],           # y^2
-    ])
-    def test_no_certificate_without_distinct_roots_below_minus_two(self, g):
-        assert poly._sign_change_points(g) is None
+    @pytest.mark.parametrize("P", [
+        [5, 4, 1],           # y^2 + 1: no real root
+        [0, -1],             # y + 2: the root -2 itself, z = 0
+        [-1, -1],            # y + 1: root inside (-2, 2)
+        [-5, -1],            # y - 3: a real root above 2
+        [1, -2, 1],          # (y + 3)^2: a double root
+        [4, 4, 1],           # y^2
+    ], ids=[f"g{i}" for i in range(6)])
+    def test_no_certificate_without_distinct_roots_below_minus_two(self, P):
+        assert poly._sign_change_points(P) is None
 
     @pytest.mark.parametrize("alpha", range(1, 8))
     def test_verdicts_and_the_chain_alone_match_the_theorem(
