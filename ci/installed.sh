@@ -101,6 +101,16 @@ for domain in "full" "fixed --beta 1"; do
     exit 1
   fi
 done
+# Newton's inequalities reject every alpha = 3 row past n = 1 before any
+# certificate search: the report to n = 60, capped at 3^59 * 60!, takes
+# well under a second.
+timeout 30 "${cli[@]}" report --alpha 3 --max-n 60 --cap 117578760567418188468572280676481373826264146337364972585584376233620672727431171775208728245043200000000000000 > report.txt
+if [ "$(wc -l < report.txt)" -ne 60 ] \
+    || [ "$(grep -c ' real_rooted=true$' report.txt)" -ne 1 ] \
+    || ! head -1 report.txt | grep -q '^alpha=3 n=1 .* real_rooted=true$'; then
+  echo "report --alpha 3 --max-n 60: want 60 rows, real_rooted=true at n = 1 alone"
+  exit 1
+fi
 # Builder memory grows like alpha * n, not alpha^2, so (20000, 2) fits too.
 timeout 60 "${cli[@]}" poly --alpha 20000 --n 2 --format csv > wide.csv
 if [ "$(wc -l < wide.csv)" -ne 20002 ]; then

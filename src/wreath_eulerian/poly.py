@@ -6,24 +6,28 @@ of a descent polynomial must be tested against the statistic's maximum even
 if a leading coefficient were zero.
 
 Real-rootedness is decided exactly, by the first of three routes that
-settles it.  The real roots x = 0 and x = -1 are divided out first, and a
-palindromic rest q(x) = x^m g(x + 1/x) has g of half the degree (Petersen,
-*Eulerian Numbers*, ch. 4).
+settles it.  The real root x = 0 is divided out first.  A palindromic rest
+is (1 + x)^j q with q(x) = x^m g(x + 1/x), g of half the degree (Petersen,
+*Eulerian Numbers*, ch. 4); any other rest loses its (1 + x) factors.
 (1) Newton's inequalities (Hardy, Littlewood and Pólya, *Inequalities*,
     §2.22) hold for every real-rooted polynomial, so a coefficient that
-    breaks one proves False.
-(2) For a palindromic rest, if P(z) = g(-2 - z) takes nonzero values of
-    alternating sign at m + 1 points 0 = z_0 < ... < z_m, found on a dyadic
-    grid between Fujiwara's bounds on reversed P and on P, it has m distinct
-    roots z > 0, so g has m below -2 and every root of q is real: True.
-    Eulerian polynomials have simple negative roots (Frobenius; Brändén,
+    breaks one proves False.  A palindrome is read as it is, and only
+    up to the middle: its inequalities come in equal pairs.
+(2) For a palindromic rest, one packed Clenshaw sum gives
+    P(z) = g(-2 - z), each (1 + x)^2 = -x z being a factor -z that it
+    strips.  If P takes nonzero values of alternating sign at m + 1
+    points 0 = z_0 < ... < z_m, it has m distinct roots z > 0, so g has m
+    below -2 and every root of q is real: True.  The points tried are
+    Newton-polygon seeds from P's coefficients, then a dyadic grid
+    between Fujiwara's bounds on reversed P and on P.  Eulerian
+    polynomials have simple negative roots (Frobenius; Brändén,
     "Unimodality, log-concavity, real-rootedness and beyond", 2015), so
     the alpha <= 2 flag rows find such points.
-(3) Otherwise q's own square-free chain, read at -inf and +inf, decides
-    (Sturm's theorem): the chain of q / gcd(q, q') has the roots of q as
-    a set, as many as its degree, so q is real-rooted iff the chain counts
-    that many distinct real roots.  ``real_root_count`` always takes the
-    chain.
+(3) Otherwise the (1 + x)-free rest's own square-free chain, read at -inf
+    and +inf, decides (Sturm's theorem): the chain of q / gcd(q, q') has
+    the roots of q as a set, as many as its degree, so q is real-rooted
+    iff the chain counts that many distinct real roots.
+    ``real_root_count`` always takes the chain.
 No floating point anywhere.
 """
 from __future__ import annotations
@@ -48,9 +52,9 @@ class IntPolynomial(_Record):
             coefficients = _as_tuple("coefficients", coefficients)
         if not coefficients:
             raise ValueError("coefficient sequence must be nonempty")
-        for c in coefficients:
-            if not _is_int(c):
-                raise ValidationError(f"coefficient {c!r} is not an int")
+        if not all(map(_is_int, coefficients)):
+            bad = next(c for c in coefficients if not _is_int(c))
+            raise ValidationError(f"coefficient {bad!r} is not an int")
         object.__setattr__(self, "coefficients", coefficients)
 
     @property
@@ -97,15 +101,17 @@ def binomial_power(n: int) -> IntPolynomial:
 
 def is_palindromic(p: IntPolynomial) -> bool:
     """a_k == a_{D-k} against the nominal degree D, not the trimmed one."""
-    _nonzero_coefficients(p)
     c = p.coefficients
+    if not any(c):
+        raise ValueError("zero polynomial rejected")
     return c == c[::-1]
 
 
 def is_unimodal(p: IntPolynomial) -> bool:
     """Coefficients rise (weakly) to a peak, then fall (weakly)."""
-    _nonzero_coefficients(p)
     c = p.coefficients
+    if not any(c):
+        raise ValueError("zero polynomial rejected")
     i = 1
     while i < len(c) and c[i - 1] <= c[i]:
         i += 1
@@ -191,24 +197,36 @@ def _divide_one_plus_x(c: list[int]) -> list[int] | None:
 
 
 def _palindromic_reduction(c: list[int]) -> list[int]:
-    """P with c(x) = x^m P(z) at x + 1/x = -2 - z, for a palindromic c of
-    degree 2m; so P(z) = g(-2 - z) for the g with c(x) = x^m g(x + 1/x).
-    c(x) / x^m = c_m + sum_j c_(m+j) (x^j + x^-j), and x^j + x^-j is
-    (-1)^j G_j(z), where G_0 = 2, G_1 = 2 + z and
-    G_(j+1) = (2 + z) G_j - G_(j-1)."""
-    m = (len(c) - 1) // 2
-    p = [c[m]] + [0] * m
-    prev, cur = [2], [2, 1]
-    for j in range(1, m + 1):
-        a = -c[m + j] if j % 2 else c[m + j]
-        for i, d in enumerate(cur):
-            p[i] += a * d
-        # G_(j-1) is one term shorter than G_j: 2 G_j's top term goes alone.
-        nxt = [0] + cur
-        for i, e in enumerate(prev):
-            nxt[i] += 2 * cur[i] - e
-        nxt[-2] += 2 * cur[-1]
-        prev, cur = cur, nxt
+    """P with q(x) = x^m P(z) at x + 1/x = y = -2 - z, for the rest q of
+    degree 2m of a palindromic c without its (1 + x) factors; so
+    P(z) = g(-2 - z) for the g with q(x) = x^m g(y), and P(0) != 0.
+    At degree 2h, c(x) / x^h = c_h + sum_(j>=1) c_(h+j) F_j(y) with
+    F_j = x^j + x^-j; at degree 2h - 1, c(x) / ((1 + x) x^(h-1)) =
+    sum_(j>=0) c_(h+j) F_j(y) with F_j = (u^(2j+1) + u^-(2j+1)) / (u + 1/u)
+    for u^2 = x.  Both obey F_(j+1) = y F_j - F_(j-1), from F_1 = y or
+    y - 1, so Clenshaw's recurrence sums it at z = 2^bits, multiplying by y
+    in two shifts and an add.  Its coefficients in z lie below
+    sum |c_(h..)| 4^n < 2^(bits - 2) for n = floor(deg c / 2), so they are
+    the signed base-2^bits digits.  Each (1 + x)^2 = -x z is a factor -z:
+    its zero digits are stripped, and the sign flips if they are odd in
+    number."""
+    h, n = len(c) // 2, (len(c) - 1) // 2
+    bits = sum(map(abs, c[h:])).bit_length() + 2 * n + 2
+    # b1, b2 = b_(j+1), b_(j+2) of b_j = c_(h+j) + y b_(j+1) - b_(j+2).
+    b1 = b2 = 0
+    for a in c[:h:-1]:
+        b1, b2 = a - (b1 << bits) - (b1 << 1) - b2, b1
+    # c_h F_0 + F_1 b_1 - F_0 b_2, with c_h counted once at even degree.
+    value = (c[h] - (b1 << bits) - (b1 << 1)
+             - (2 * b2 if len(c) % 2 else b1 + b2))
+    zeros = ((value & -value).bit_length() - 1) // bits
+    value = (-value if zeros % 2 else value) >> zeros * bits
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    p = []
+    for _ in range(n + 1 - zeros):
+        value += half
+        p.append((value & mask) - half)
+        value >>= bits
     return p
 
 
@@ -217,11 +235,15 @@ def _newton_fails(c: list[int]) -> bool:
     c_k^2 k (d - k) < c_(k-1) c_(k+1) (k + 1) (d - k + 1) for the trimmed c
     of degree d.  Newton's inequalities e_k^2 >= e_(k-1) e_(k+1) for
     e_k = c_k / C(d, k) hold for every real-rooted polynomial, whatever the
-    signs of its coefficients, so a failing k proves c is not."""
+    signs of its coefficients, so a failing k proves c is not.  On a
+    palindrome the inequalities at k and d - k are one inequality, so
+    k <= d / 2 is read."""
     d = len(c) - 1
-    return any(c[k] * c[k] * k * (d - k)
-               < c[k - 1] * c[k + 1] * (k + 1) * (d - k + 1)
-               for k in range(1, d))
+    last = d // 2 if c == c[::-1] else d - 1
+    for k, a, b, e in zip(range(1, last + 1), c, c[1:], c[2:]):
+        if b * b * k * (d - k) < a * e * (k + 1) * (d - k + 1):
+            return True
+    return False
 
 
 #: Rounds of midpoint refinement before the certificate search gives up.
@@ -242,15 +264,46 @@ def _sign_change_points(p: list[int]) -> list[tuple[int, int]] | None:
     if the search finds none.  Between two such points lies a root, so p
     then has d distinct positive roots.
 
-    The search reads p's sign by homogeneous integer Horner at z = 0 and
-    on the powers of two from 2^-low to 2^top, then at the midpoints of
-    that grid, up to _REFINEMENTS times.  Fujiwara's bound on p puts every
-    root below 2^top, and on reversed p every nonzero root above 2^-low.
-    The bounds only place the grid: the points are checked whatever they
-    are."""
+    First come the Newton-polygon seeds: 0, sqrt|p_(i-1) / p_(i+1)|
+    rounded down for i = 1..d-1, which lies between the i-th and
+    (i+1)-th roots when they are far apart, and the power of two above
+    |p_(d-1) / p_d|, the sum of the roots if all are positive.  At the
+    first seed that breaks the alternation, the grid (``_grid_points``)
+    takes over between Fujiwara's bounds: every root lies below 2^top,
+    and every nonzero root above 2^-low.  The seeds and the bounds only
+    place the points: the points are checked whatever they are."""
     d = len(p) - 1
+    if all(p):
+        # 2^-shift <= z_1 / 2^(_REFINEMENTS + 1), as
+        # |p_0 / p_2| > 2^(bits(p_0) - 1 - bits(p_2)).
+        shift = (max((p[2].bit_length() - p[0].bit_length()) // 2 + 2, 0)
+                 + _REFINEMENTS if d > 1 else 0)
+        zs = [0] + [math.isqrt((abs(a) << 2 * shift) // abs(b))
+                    for a, b in zip(p, p[2:])]
+        if d:
+            zs.append(1 << ((abs(p[-2]) // abs(p[-1])).bit_length() + shift))
+        sign = _sign_reader(p, shift)
+        # p(0) = p_0 is nonzero.
+        last, prev = (p[0] > 0) - (p[0] < 0), 0
+        for z in zs[1:]:
+            if z <= prev:
+                break
+            s = sign(z)
+            if not s or s == last:
+                break
+            last, prev = s, z
+        else:
+            return [(z, 1 << shift) for z in zs]
     top, low = _root_bits(p), _root_bits(p[::-1])
     shift = max(low, 0) + _REFINEMENTS
+    zs = _grid_points(_sign_reader(p, shift), d,
+                      [0] + [1 << (j + shift) for j in range(-low, top + 1)])
+    return None if zs is None else [(z, 1 << shift) for z in zs]
+
+
+def _sign_reader(p: list[int], shift: int):
+    """z -> the sign of p at z / 2^shift, by homogeneous integer Horner."""
+    d = len(p) - 1
     scaled = [a << shift * (d - i) for i, a in enumerate(p)][::-1]
 
     def sign(z: int) -> int:
@@ -260,7 +313,13 @@ def _sign_change_points(p: list[int]) -> list[tuple[int, int]] | None:
             value = value * z + a
         return (value > 0) - (value < 0)
 
-    zs = [0] + [1 << (j + shift) for j in range(-low, top + 1)]
+    return sign
+
+
+def _grid_points(sign, d: int, zs: list[int]) -> list[int] | None:
+    """d + 1 increasing points among zs and the midpoints of up to
+    _REFINEMENTS refinements of zs, at which ``sign`` is nonzero and
+    alternates, or None."""
     signs = [sign(z) for z in zs]
     for refinement in range(_REFINEMENTS + 1):
         firsts = []
@@ -270,7 +329,7 @@ def _sign_change_points(p: list[int]) -> list[tuple[int, int]] | None:
                 firsts.append(z)
                 last = s
         if len(firsts) == d + 1:
-            return [(z, 1 << shift) for z in firsts]
+            return firsts
         if refinement == _REFINEMENTS:
             return None
         mids = [(a + b) >> 1 for a, b in zip(zs, zs[1:])]
@@ -330,37 +389,44 @@ def is_real_rooted(p: IntPolynomial) -> bool:
     """True iff every root is real.  Leading zero coefficients are trimmed,
     and a nonzero constant counts as real-rooted.
 
-    Two exact reductions keep the verdict: (a) the low-order zeros, the
-    root x = 0, are stripped; (b) (1 + x) is divided out while -1 is a
-    root.  If the rest q is palindromic, it has even degree 2m (an
-    odd-degree palindrome has the root -1) and q(x) = x^m g(x + 1/x).
-    Each root y of g gives the two roots of x^2 - y x + 1, both real and
-    distinct iff y is real with |y| > 2.
+    Exact reductions keep the verdict: the low-order zeros, the root
+    x = 0, are stripped, and (1 + x) is divided out while -1 is a root.
+    A palindromic rest stays palindromic without its (1 + x) factors, and
+    then has even degree 2m (an odd-degree palindrome has the root -1),
+    with q(x) = x^m g(x + 1/x).  Each root y of g gives the two roots of
+    x^2 - y x + 1, both real and distinct iff y is real with |y| > 2.
 
     The first route that settles the verdict gives it:
-    (1) q breaks one of Newton's inequalities (``_newton_fails``): False.
-    (2) q is palindromic and P(z) = g(-2 - z) changes sign m times at
-        points 0 = z_0 < ... < z_m (``_sign_change_points``, between
-        Fujiwara's bounds on reversed P and on P): g has m distinct roots
-        below -2, each giving two distinct negative roots of q, so q has
-        2m distinct real roots: True.
-    (3) q's own square-free chain, read at -inf and +inf, decides.  Its
-        degree is the number of distinct roots of q, repeated roots and
-        roots on the unit circle included, and the division by
-        gcd(q, q') flips every sign at -inf or +inf together, so the count
-        of real roots is unchanged."""
+    (1) the rest breaks one of Newton's inequalities (``_newton_fails``):
+        False.  A palindromic rest is tested before any (1 + x) division,
+        any other after.
+    (2) the rest is palindromic and P(z) = g(-2 - z)
+        (``_palindromic_reduction``, one packed sum in which each
+        (1 + x)^2 is a factor -z, stripped) changes sign m times at points
+        0 = z_0 < ... < z_m (``_sign_change_points``: Newton-polygon seeds,
+        then a grid between Fujiwara's bounds on reversed P and on P): g
+        has m distinct roots below -2, each giving two distinct negative
+        roots of q, so q has 2m distinct real roots: True.
+    (3) the (1 + x)-free rest q's own square-free chain, read at -inf and
+        +inf, decides.  Its degree is the number of distinct roots of q,
+        repeated roots and roots on the unit circle included, and the
+        division by gcd(q, q') flips every sign at -inf or +inf together,
+        so the count of real roots is unchanged."""
     c = _nonzero_coefficients(p)
     k = 0
     while c[k] == 0:
         k += 1
     q = c[k:]
-    while len(q) > 1 and (quotient := _divide_one_plus_x(q)) is not None:
-        q = quotient
-    if _newton_fails(q):
-        return False
-    if q == q[::-1]:
+    palindromic = q == q[::-1]
+    if palindromic:
+        if _newton_fails(q):
+            return False
         if _sign_change_points(_palindromic_reduction(q)) is not None:
             return True
+    while len(q) > 1 and (quotient := _divide_one_plus_x(q)) is not None:
+        q = quotient
+    if not palindromic and _newton_fails(q):
+        return False
     chain = _square_free_chain(q)
     real = (_sign_variations(chain, NEG_INF)
             - _sign_variations(chain, POS_INF))

@@ -124,6 +124,9 @@ class TestRingOperations:
     def test_non_integer_coefficient_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="coefficient 1.5 is not an int"):
             IntPolynomial((1.5, 2))
+        # The message names the first coefficient that is not an int.
+        with pytest.raises(ValidationError, match="coefficient 2.5 is not an int"):
+            IntPolynomial((1, 2, 2.5, None))
 
     @given(small_polys, small_polys, small_polys)
     def test_ring_laws(self, p, q, r):
@@ -167,16 +170,20 @@ class TestShapePredicates:
         assert is_unimodal(IntPolynomial((7,)))
         assert is_unimodal(IntPolynomial((1, 2, 2, 1)))
 
+    def test_untrimmed_coefficients_are_read(self):
+        # Zeros above the last nonzero coefficient count against the
+        # nominal degree, and a zero run is a plateau.
+        assert not is_palindromic(IntPolynomial((1, 2, 1, 0)))
+        assert is_palindromic(IntPolynomial((0, 1, 0)))
+        assert is_unimodal(IntPolynomial((1, 2, 1, 0, 0)))
+        assert not is_unimodal(IntPolynomial((0, 1, 0, 1)))
+
     def test_zero_polynomial_rejected(self):
         zero = IntPolynomial((0, 0))
-        with pytest.raises(ValueError):
-            is_palindromic(zero)
-        with pytest.raises(ValueError):
-            is_unimodal(zero)
-        with pytest.raises(ValueError):
-            is_real_rooted(zero)
-        with pytest.raises(ValueError):
-            real_root_count(zero)
+        for predicate in (is_palindromic, is_unimodal, is_real_rooted,
+                          real_root_count):
+            with pytest.raises(ValueError, match="zero polynomial rejected"):
+                predicate(zero)
 
 
 class TestRealRootedness:
@@ -307,6 +314,45 @@ PALINDROMIC_EXAMPLES = [
 ]
 
 
+def list_reduction(q):
+    """P for a palindromic q of degree 2m with no (1 + x) factor, by the
+    list recurrence: q(x) / x^m = q_m + sum_j q_(m+j) (-1)^j G_j(z), with
+    G_0 = 2, G_1 = 2 + z and G_(j+1) = (2 + z) G_j - G_(j-1) built
+    coefficient by coefficient."""
+    m = (len(q) - 1) // 2
+    p = [q[m]] + [0] * m
+    prev, cur = [2], [2, 1]
+    for j in range(1, m + 1):
+        a = -q[m + j] if j % 2 else q[m + j]
+        for i, d in enumerate(cur):
+            p[i] += a * d
+        # G_(j-1) is one term shorter than G_j: 2 G_j's top term goes alone.
+        nxt = [0] + cur
+        for i, e in enumerate(prev):
+            nxt[i] += 2 * cur[i] - e
+        nxt[-2] += 2 * cur[-1]
+        prev, cur = cur, nxt
+    return p
+
+
+def without_one_plus_x(c):
+    """c with every (1 + x) divided out."""
+    while len(c) > 1 and (quotient := poly._divide_one_plus_x(c)) is not None:
+        c = quotient
+    return c
+
+
+@st.composite
+def palindromes(draw, max_half, max_bits):
+    """A palindrome of degree up to 2 max_half with mixed-sign coefficients
+    of up to max_bits bits and a nonzero constant term."""
+    big = 2 ** max_bits
+    half = draw(st.lists(st.integers(-big, big), min_size=1,
+                         max_size=max_half + 1))
+    half[0] = half[0] or 1
+    return half + half[-2::-1]
+
+
 class TestReductions:
     """is_real_rooted strips x^k and (1 + x)^m, and may certify a
     palindromic rest q(x) = x^m g(x + 1/x) from g; these cases know their
@@ -324,16 +370,34 @@ class TestReductions:
         # The rest that is_real_rooted reduces: x^k and every (1 + x) out.
         p, real, _ = case
         q = poly._nonzero_coefficients(p)
-        q = q[next(i for i, a in enumerate(q) if a):]
+        q = rest = q[next(i for i, a in enumerate(q) if a):]
         while len(q) > 1 and (quotient := poly._divide_one_plus_x(q)) is not None:
             q = quotient
         assert q == q[::-1]
         P = poly._palindromic_reduction(q)
         check_reduction(p, P)
+        # The packed sum divides out the (1 + x) factors itself.
+        assert poly._palindromic_reduction(rest) == P
         points = poly._sign_change_points(P)
         if points is not None:
             check_points(P, points)
             assert real and chain_verdict(IntPolynomial(tuple(q)))
+
+    @given(palindromes(40, 320))
+    def test_packed_reduction_matches_the_list_recurrence(self, c):
+        q = without_one_plus_x(c)
+        assert poly._palindromic_reduction(q) == list_reduction(q)
+
+    @given(palindromes(8, 64), st.integers(0, 7), st.integers(0, 3))
+    def test_packed_reduction_strips_one_plus_x(self, r, j, k):
+        # On x^k (1 + x)^j r, of either parity, the reduction of the
+        # x^k-free rest is exact, sign included, and equals that of the
+        # (1 + x)-free rest.
+        p = IntPolynomial((0,) * k + tuple(r)) * binomial_power(j)
+        rest = list(p.coefficients[k:])
+        P = poly._palindromic_reduction(rest)
+        check_reduction(p, P)
+        assert P == list_reduction(without_one_plus_x(rest))
 
     @pytest.mark.parametrize("coeffs,expected", PALINDROMIC_EXAMPLES)
     def test_palindromic_examples(self, coeffs, expected):
@@ -524,6 +588,48 @@ class TestRoutes:
             assert not is_real_rooted(p)
         assert routes["newton"] == [True] * 88
         assert routes["certificates"] == []
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    @pytest.mark.parametrize("beta", [0, None, "last"],
+                             ids=["quotient", "full", "fixed"])
+    def test_seeds_alone_certify_the_flag_rows_to_36(
+            self, routes, monkeypatch, alpha, beta):
+        def refuse(*args):
+            raise AssertionError("grid searched")
+
+        monkeypatch.setattr(poly, "_grid_points", refuse)
+        if beta == "last":
+            beta = alpha - 1
+        for p in flag_rows(alpha, 60, beta)[:36]:
+            assert is_real_rooted(p)
+        for P, points in routes["certificates"]:
+            check_points(P, points)
+
+    def test_the_grid_certifies_a_row_the_seeds_miss(self, monkeypatch):
+        grid = poly._grid_points
+        calls = []
+
+        def record(*args):
+            calls.append(grid(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(poly, "_grid_points", record)
+        c = list(flag_rows(2, 40)[-1].coefficients)
+        P = poly._palindromic_reduction(c)
+        points = poly._sign_change_points(P)
+        assert len(calls) == 1 and calls[0] is not None
+        check_points(P, points)
+
+    @given(st.one_of(palindromes(12, 8),
+                     st.lists(st.integers(-50, 50), min_size=1, max_size=25)))
+    def test_newton_reads_half_a_palindrome(self, c):
+        # The inequalities at k and d - k of a palindrome are one.
+        c = poly._trim(c)
+        d = len(c) - 1
+        full = any(c[k] * c[k] * k * (d - k)
+                   < c[k - 1] * c[k + 1] * (k + 1) * (d - k + 1)
+                   for k in range(1, d))
+        assert c == [] or poly._newton_fails(c) == full
 
     def test_newton_inequalities_by_hand(self):
         assert not poly._newton_fails([1, 4, 1])      # real roots
