@@ -36,6 +36,16 @@ one_pass() {
     exit 1
   fi
 }
+# count WANT PATTERN FILE: exactly WANT lines of FILE match the extended
+# regular expression PATTERN; the empty PATTERN matches every line.
+count() {
+  got=$(grep -cE -- "$2" "$3" || true)
+  if [ "$got" != "$1" ]; then
+    echo "$3: $got lines match '$2'; want $1"
+    tail -3 "$3"
+    exit 1
+  fi
+}
 
 "${cli[@]}" --help
 # Every run imports the CLI, so it must not pull in dataclasses or
@@ -46,11 +56,7 @@ assert not loaded, f'importing wreath_eulerian.cli loaded {loaded}'"
 "${cli[@]}" report --alpha 2 --max-n 40 --cap 448554170605606071010162734597677682499076317249536000000000
 # A large sweep from one pass: ABR to n = 60, capped at 2^60 * 60!.
 "${cli[@]}" verify abr-identity --max-n 60 --cap 9593444981835986954891939947669322185182489942608389896364094195294295395488811817369600000000000000 > abr.txt
-passes=$(grep -c '^PASS ' abr.txt)
-if [ "$passes" -ne 60 ]; then
-  echo "abr-identity to n = 60: $passes PASS lines; want 60"
-  exit 1
-fi
+count 60 '^PASS ' abr.txt
 # Each stream verifier checks the 9720 elements of the (3, 5) quotient.
 for target in symmetry involution coset-invariance; do
   one_pass 9720 "${cli[@]}" verify "$target" --alpha 3 --n 5
@@ -70,53 +76,34 @@ one_pass "" "${cli[@]}" verify symmetry --alpha 3 --n 5 --cap 9720
 # coefficients 0..4000, takes well under a minute.  The csv format
 # computes no shape verdict.
 timeout 60 "${cli[@]}" poly --alpha 4000 --n 2 --format csv > wide.csv
-if [ "$(wc -l < wide.csv)" -ne 4002 ]; then
-  echo "poly --alpha 4000 --n 2 --format csv: $(wc -l < wide.csv) lines; want 4002"
-  exit 1
-fi
+count 4002 '' wide.csv
 # In text, the row also gets its verdicts.  Newton's inequalities reject
 # the degree-4000 row in linear time, with no Sturm chain.
 timeout 30 "${cli[@]}" poly --alpha 4000 --n 2 > wide.txt
-if ! grep -qx 'real_rooted: false' wide.txt; then
-  echo "poly --alpha 4000 --n 2: want real_rooted: false"
-  tail -3 wide.txt
-  exit 1
-fi
+count 1 '^real_rooted: false$' wide.txt
 # A sign-change certificate proves each alpha = 2 row real-rooted, with no
 # Sturm chain: the report to n = 100, capped at 2^99 * 100!.
 timeout 60 "${cli[@]}" report --alpha 2 --max-n 100 --cap 59152516512272428904085701278152386534165211971726975430109776253421241509276229875065650191304775824558476227791793686722441331088317359076279776965958488326930432000000000000000000000000 > report.txt
-if [ "$(wc -l < report.txt)" -ne 100 ] \
-    || [ "$(grep -c ' real_rooted=true$' report.txt)" -ne 100 ]; then
-  echo "report --alpha 2 --max-n 100: want 100 rows, all real_rooted=true"
-  exit 1
-fi
+count 100 '' report.txt
+count 100 ' real_rooted=true$' report.txt
 # The certificate proves the other domains' alpha = 2 rows too: the full
 # group and last color 1 at n = 60, capped at 2^60 * 60!.
 for domain in "full" "fixed --beta 1"; do
   # $domain is split on purpose: "fixed --beta 1" is two flags.
   timeout 60 "${cli[@]}" poly --alpha 2 --n 60 --domain $domain --cap 9593444981835986954891939947669322185182489942608389896364094195294295395488811817369600000000000000 > domain.txt
-  if ! grep -qx 'real_rooted: true' domain.txt; then
-    echo "poly --alpha 2 --n 60 --domain $domain: want real_rooted: true"
-    tail -3 domain.txt
-    exit 1
-  fi
+  count 1 '^real_rooted: true$' domain.txt
 done
 # Newton's inequalities reject every alpha = 3 row past n = 1 before any
 # certificate search: the report to n = 60, capped at 3^59 * 60!, takes
 # well under a second.
 timeout 30 "${cli[@]}" report --alpha 3 --max-n 60 --cap 117578760567418188468572280676481373826264146337364972585584376233620672727431171775208728245043200000000000000 > report.txt
-if [ "$(wc -l < report.txt)" -ne 60 ] \
-    || [ "$(grep -c ' real_rooted=true$' report.txt)" -ne 1 ] \
-    || ! head -1 report.txt | grep -q '^alpha=3 n=1 .* real_rooted=true$'; then
-  echo "report --alpha 3 --max-n 60: want 60 rows, real_rooted=true at n = 1 alone"
-  exit 1
-fi
+count 60 '' report.txt
+count 1 ' real_rooted=true$' report.txt
+head -1 report.txt > first.txt
+count 1 '^alpha=3 n=1 .* real_rooted=true$' first.txt
 # Builder memory grows like alpha * n, not alpha^2, so (20000, 2) fits too.
 timeout 60 "${cli[@]}" poly --alpha 20000 --n 2 --format csv > wide.csv
-if [ "$(wc -l < wide.csv)" -ne 20002 ]; then
-  echo "poly --alpha 20000 --n 2 --format csv: $(wc -l < wide.csv) lines; want 20002"
-  exit 1
-fi
+count 20002 '' wide.csv
 # A usage error exits 2 and a cap refusal 3, each with one stderr line.
 expect 2 poly --alpha 0 --n 2
 expect 2 poly --alpha 2 --n 3 --beta 7

@@ -1,7 +1,7 @@
 """Exhaustive enumeration of colored permutation groups and their quotients,
 with descent-statistic aggregation into exact polynomials.
 
-Two computation routes coexist on purpose:
+Three computation routes coexist on purpose:
 
 * the element streams (:func:`iterate_quotient_reps` and friends) yield every
   element in lexicographic order of (window, colors) and are the reference
@@ -195,6 +195,15 @@ def _tuples(alpha: int, n: int, beta: int | None, cap: int | None) -> Iterator[t
             for window in _windows(n) for colors in _colorings(alpha, n, beta))
 
 
+def _elements(alpha: int, n: int, beta: int | None,
+              cap: int | None) -> Iterator[ColoredPermutation]:
+    """The domain's elements, built from ``_tuples`` without revalidation;
+    admission runs on the first ``next()``."""
+    make = ColoredPermutation._trusted
+    for window, colors in _tuples(alpha, n, beta, cap):
+        yield make(alpha, window, colors)
+
+
 def iterate_fixed_last_color(alpha: int, n: int, beta: int,
                              cap: int | None = None) -> Iterator[ColoredPermutation]:
     """All elements with last color beta, in lexicographic order of
@@ -202,9 +211,7 @@ def iterate_fixed_last_color(alpha: int, n: int, beta: int,
     if beta is None:  # a color here, never _admit's name for the full group
         _check_parameters(alpha, n)
         _require_color("beta", beta, alpha)
-    make = ColoredPermutation._trusted
-    for window, colors in _tuples(alpha, n, beta, cap):
-        yield make(alpha, window, colors)
+    yield from _elements(alpha, n, beta, cap)
 
 
 def iterate_quotient_reps(alpha: int, n: int,
@@ -218,9 +225,7 @@ def iterate_full_group(alpha: int, n: int,
                        cap: int | None = None) -> Iterator[ColoredPermutation]:
     """Every element of the group, in lexicographic order of
     (window, colors)."""
-    make = ColoredPermutation._trusted
-    for window, colors in _tuples(alpha, n, None, cap):
-        yield make(alpha, window, colors)
+    return _elements(alpha, n, None, cap)
 
 
 # ---------------------------------------------------------------------------

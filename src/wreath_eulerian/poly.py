@@ -5,29 +5,30 @@ degree is explicit (trailing zeros below it are kept), because palindromicity
 of a descent polynomial must be tested against the statistic's maximum even
 if a leading coefficient were zero.
 
-Real-rootedness is decided exactly, by the first of three routes that
-settles it.  The real root x = 0 is divided out first.  A palindromic rest
-is (1 + x)^j q with q(x) = x^m g(x + 1/x), g of half the degree (Petersen,
-*Eulerian Numbers*, ch. 4); any other rest loses its (1 + x) factors.
+Real-rootedness is decided exactly, in one sequence.  The real root x = 0
+is divided out first, and the rest q is read as it is, with every (1 + x)
+factor it holds.
 (1) Newton's inequalities (Hardy, Littlewood and Pólya, *Inequalities*,
-    §2.22) hold for every real-rooted polynomial, so a coefficient that
-    breaks one proves False.  A palindrome is read as it is, and only
-    up to the middle: its inequalities come in equal pairs.
-(2) For a palindromic rest, one packed Clenshaw sum gives
-    P(z) = g(-2 - z), each (1 + x)^2 = -x z being a factor -z that it
-    strips.  If P takes nonzero values of alternating sign at m + 1
-    points 0 = z_0 < ... < z_m, it has m distinct roots z > 0, so g has m
-    below -2 and every root of q is real: True.  The points tried are
-    Newton-polygon seeds from P's coefficients, then a dyadic grid
-    between Fujiwara's bounds on reversed P and on P.  Eulerian
-    polynomials have simple negative roots (Frobenius; Brändén,
-    "Unimodality, log-concavity, real-rootedness and beyond", 2015), so
-    the alpha <= 2 flag rows find such points.
-(3) Otherwise the (1 + x)-free rest's own square-free chain, read at -inf
-    and +inf, decides (Sturm's theorem): the chain of q / gcd(q, q') has
-    the roots of q as a set, as many as its degree, so q is real-rooted
-    iff the chain counts that many distinct real roots.
-    ``real_root_count`` always takes the chain.
+    §2.22) hold for every real-rooted polynomial, so a coefficient of q
+    that breaks one proves False.  A palindrome is read only up to the
+    middle: its inequalities come in equal pairs.
+(2) A palindromic q is (1 + x)^j r with r(x) = x^m g(x + 1/x), g of half
+    the degree of r (Petersen, *Eulerian Numbers*, ch. 4).  One packed
+    Clenshaw sum over q gives P(z) = g(-2 - z), each (1 + x)^2 = -x z
+    being a factor -z that it strips.  If P takes nonzero values of
+    alternating sign at m + 1 points 0 = z_0 < ... < z_m, it has m
+    distinct roots z > 0, so g has m below -2 and every root of q is
+    real: True.  The points tried are Newton-polygon seeds from P's
+    coefficients, then a dyadic grid between Fujiwara's bounds on
+    reversed P and on P.  Eulerian polynomials have simple negative roots
+    (Frobenius; Brändén, "Unimodality, log-concavity, real-rootedness and
+    beyond", 2015), so the alpha <= 2 flag rows find such points.
+(3) Otherwise, for any other q or a palindrome without such points, q's
+    own square-free chain, read at -inf and +inf, decides (Sturm's
+    theorem): the chain of q / gcd(q, q') has the roots of q as a set, as
+    many as its degree, so q is real-rooted iff the chain counts that
+    many distinct real roots.  A repeated root, -1 included, counts once
+    on both sides.  ``real_root_count`` always takes the chain.
 No floating point anywhere.
 """
 from __future__ import annotations
@@ -184,16 +185,6 @@ def _square_free_chain(c: list[int]) -> list[list[int]]:
         g = [x // content for x in g]
         chain = [_exact_quotient(e, g) for e in chain]
     return chain
-
-
-def _divide_one_plus_x(c: list[int]) -> list[int] | None:
-    """c / (1 + x) by synthetic division, or None if c(-1) != 0."""
-    q = []
-    carry = 0
-    for a in c[:-1]:
-        carry = a - carry
-        q.append(carry)
-    return q if carry == c[-1] else None
 
 
 def _palindromic_reduction(c: list[int]) -> list[int]:
@@ -389,44 +380,34 @@ def is_real_rooted(p: IntPolynomial) -> bool:
     """True iff every root is real.  Leading zero coefficients are trimmed,
     and a nonzero constant counts as real-rooted.
 
-    Exact reductions keep the verdict: the low-order zeros, the root
-    x = 0, are stripped, and (1 + x) is divided out while -1 is a root.
-    A palindromic rest stays palindromic without its (1 + x) factors, and
-    then has even degree 2m (an odd-degree palindrome has the root -1),
-    with q(x) = x^m g(x + 1/x).  Each root y of g gives the two roots of
-    x^2 - y x + 1, both real and distinct iff y is real with |y| > 2.
-
-    The first route that settles the verdict gives it:
-    (1) the rest breaks one of Newton's inequalities (``_newton_fails``):
-        False.  A palindromic rest is tested before any (1 + x) division,
-        any other after.
-    (2) the rest is palindromic and P(z) = g(-2 - z)
-        (``_palindromic_reduction``, one packed sum in which each
-        (1 + x)^2 is a factor -z, stripped) changes sign m times at points
-        0 = z_0 < ... < z_m (``_sign_change_points``: Newton-polygon seeds,
-        then a grid between Fujiwara's bounds on reversed P and on P): g
-        has m distinct roots below -2, each giving two distinct negative
-        roots of q, so q has 2m distinct real roots: True.
-    (3) the (1 + x)-free rest q's own square-free chain, read at -inf and
-        +inf, decides.  Its degree is the number of distinct roots of q,
-        repeated roots and roots on the unit circle included, and the
-        division by gcd(q, q') flips every sign at -inf or +inf together,
-        so the count of real roots is unchanged."""
+    Stripping the low-order zeros, the root x = 0, keeps the verdict.
+    The x^k-free rest q then takes one sequence, and the first step that
+    settles the verdict gives it:
+    (1) q breaks one of Newton's inequalities (``_newton_fails``): False.
+    (2) q is palindromic, so q = (1 + x)^j r with r of even degree 2m and
+        r(x) = x^m g(x + 1/x); each root y of g gives the two roots of
+        x^2 - y x + 1, both real and distinct iff y is real with |y| > 2.
+        If P(z) = g(-2 - z) (``_palindromic_reduction``, one packed sum in
+        which each (1 + x)^2 is a factor -z, stripped) changes sign m
+        times at points 0 = z_0 < ... < z_m (``_sign_change_points``:
+        Newton-polygon seeds, then a grid between Fujiwara's bounds on
+        reversed P and on P), g has m distinct roots below -2, each giving
+        two distinct negative roots of r, so every root of q is real: True.
+    (3) otherwise, for any other q or a palindrome without such points,
+        q's own square-free chain, read at -inf and +inf, decides.  Its
+        degree is the number of distinct roots of q, repeated roots, -1
+        and roots on the unit circle included, and the division by
+        gcd(q, q') flips every sign at -inf or +inf together, so the count
+        of real roots is unchanged."""
     c = _nonzero_coefficients(p)
     k = 0
     while c[k] == 0:
         k += 1
     q = c[k:]
-    palindromic = q == q[::-1]
-    if palindromic:
-        if _newton_fails(q):
-            return False
-        if _sign_change_points(_palindromic_reduction(q)) is not None:
-            return True
-    while len(q) > 1 and (quotient := _divide_one_plus_x(q)) is not None:
-        q = quotient
-    if not palindromic and _newton_fails(q):
+    if _newton_fails(q):
         return False
+    if q == q[::-1] and _sign_change_points(_palindromic_reduction(q)) is not None:
+        return True
     chain = _square_free_chain(q)
     real = (_sign_variations(chain, NEG_INF)
             - _sign_variations(chain, POS_INF))

@@ -335,9 +335,21 @@ def list_reduction(q):
     return p
 
 
+def divide_one_plus_x(c):
+    """c / (1 + x) by synthetic division, or None if c(-1) != 0: the
+    reference that the packed reduction's own (1 + x) stripping is checked
+    against."""
+    q = []
+    carry = 0
+    for a in c[:-1]:
+        carry = a - carry
+        q.append(carry)
+    return q if carry == c[-1] else None
+
+
 def without_one_plus_x(c):
     """c with every (1 + x) divided out."""
-    while len(c) > 1 and (quotient := poly._divide_one_plus_x(c)) is not None:
+    while len(c) > 1 and (quotient := divide_one_plus_x(c)) is not None:
         c = quotient
     return c
 
@@ -354,9 +366,9 @@ def palindromes(draw, max_half, max_bits):
 
 
 class TestReductions:
-    """is_real_rooted strips x^k and (1 + x)^m, and may certify a
-    palindromic rest q(x) = x^m g(x + 1/x) from g; these cases know their
-    answer by construction."""
+    """is_real_rooted strips x^k, and may certify a palindromic rest
+    (1 + x)^j q with q(x) = x^m g(x + 1/x) from g, the packed reduction
+    stripping (1 + x)^j; these cases know their answer by construction."""
 
     @given(palindromic_products())
     def test_palindromic_products(self, case):
@@ -367,11 +379,11 @@ class TestReductions:
 
     @given(palindromic_products())
     def test_reduction_and_certificate_of_every_rest(self, case):
-        # The rest that is_real_rooted reduces: x^k and every (1 + x) out.
+        # The rest that the packed reduction reads: x^k and every (1 + x) out.
         p, real, _ = case
         q = poly._nonzero_coefficients(p)
         q = rest = q[next(i for i, a in enumerate(q) if a):]
-        while len(q) > 1 and (quotient := poly._divide_one_plus_x(q)) is not None:
+        while len(q) > 1 and (quotient := divide_one_plus_x(q)) is not None:
             q = quotient
         assert q == q[::-1]
         P = poly._palindromic_reduction(q)
@@ -453,7 +465,7 @@ def fraction_value(coeffs, x):
 def check_reduction(p, P):
     """p(x) = x^(k+m) (1 + x)^j P(-(1 + x)^2 / x) for P of degree m, with
     Fraction arithmetic alone at deg p + 1 points, where x^k and (1 + x)^j
-    are the factors that is_real_rooted strips.  Since x + 1/x = -2 - z
+    are the factors that is_real_rooted and the packed reduction strip.  Since x + 1/x = -2 - z
     at z = -(1 + x)^2 / x, a root z > 0 of P gives two negative roots of
     p."""
     m = len(P) - 1
@@ -630,6 +642,27 @@ class TestRoutes:
                    < c[k - 1] * c[k + 1] * (k + 1) * (d - k + 1)
                    for k in range(1, d))
         assert c == [] or poly._newton_fails(c) == full
+
+    @given(st.one_of(palindromes(8, 16),
+                     st.lists(st.integers(-50, 50), min_size=1, max_size=12)),
+           st.integers(0, 5), st.integers(0, 3))
+    def test_newton_reads_the_x_free_rest_once(self, r, j, k):
+        # On x^k (1 + x)^j r, palindromic or not, Newton's inequalities are
+        # read once, on the x^k-free rest as it is: no (1 + x) divided out.
+        r[0], r[-1] = r[0] or 1, r[-1] or 1
+        p = IntPolynomial((0,) * k + tuple(r)) * binomial_power(j)
+        newton = poly._newton_fails
+        calls = []
+
+        def record(c):
+            calls.append(list(c))
+            return newton(c)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(poly, "_newton_fails", record)
+            verdict = is_real_rooted(p)
+        assert calls == [list(p.coefficients[k:])]
+        assert verdict == chain_verdict(p)
 
     def test_newton_inequalities_by_hand(self):
         assert not poly._newton_fails([1, 4, 1])      # real roots
