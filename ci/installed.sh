@@ -82,10 +82,11 @@ count 4002 '' wide.csv
 timeout 30 "${cli[@]}" poly --alpha 4000 --n 2 > wide.txt
 count 1 '^real_rooted: false$' wide.txt
 # A sign-change certificate proves each alpha = 2 row real-rooted, with no
-# Sturm chain: the report to n = 100, capped at 2^99 * 100!.
-timeout 60 "${cli[@]}" report --alpha 2 --max-n 100 --cap 59152516512272428904085701278152386534165211971726975430109776253421241509276229875065650191304775824558476227791793686722441331088317359076279776965958488326930432000000000000000000000000 > report.txt
-count 100 '' report.txt
-count 100 ' real_rooted=true$' report.txt
+# Sturm chain: the report to n = 200, capped at 2^199 * 200!, takes a few
+# seconds.
+timeout 15 "${cli[@]}" report --alpha 2 --max-n 200 --cap 633662165486321302312676440172247498651749454542477318644298323004422280636105549780077017919165059491515072380681405979011521558321361558967172105026629179081285645006666549529486936452855878850231354187216274098585722453116872964878404969959890757726523372627296764581554511652884827945090880333853358561026186720995539379788205892262162833285269179081271193147599504549755953201807360000000000000000000000000000000000000000000000000 > report.txt
+count 200 '' report.txt
+count 200 ' real_rooted=true$' report.txt
 # The certificate proves the other domains' alpha = 2 rows too: the full
 # group and last color 1 at n = 60, capped at 2^60 * 60!.
 for domain in "full" "fixed --beta 1"; do

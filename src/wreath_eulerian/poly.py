@@ -18,11 +18,11 @@ factor it holds.
     being a factor -z that it strips.  If P takes nonzero values of
     alternating sign at m + 1 points 0 = z_0 < ... < z_m, it has m
     distinct roots z > 0, so g has m below -2 and every root of q is
-    real: True.  The points tried are Newton-polygon seeds from P's
-    coefficients, then a dyadic grid between Fujiwara's bounds on
-    reversed P and on P.  Eulerian polynomials have simple negative roots
-    (Frobenius; Brändén, "Unimodality, log-concavity, real-rootedness and
-    beyond", 2015), so the alpha <= 2 flag rows find such points.
+    real: True.  The points come from Newton-polygon seeds on P's
+    coefficients, refined by midpoints where they miss.  Eulerian
+    polynomials have simple negative roots (Frobenius; Brändén,
+    "Unimodality, log-concavity, real-rootedness and beyond", 2015), so
+    the alpha <= 2 flag rows find such points.
 (3) Otherwise, for any other q or a palindrome without such points, q's
     own square-free chain, read at -inf and +inf, decides (Sturm's
     theorem): the chain of q / gcd(q, q') has the roots of q as a set, as
@@ -241,54 +241,46 @@ def _newton_fails(c: list[int]) -> bool:
 _REFINEMENTS = 4
 
 
-def _root_bits(p: list[int]) -> int:
-    """A b with every root of p below 2^b in modulus: Fujiwara's bound
-    |z| <= 2 max_i |p_(d-i) / p_d|^(1/i), in bit lengths."""
-    lead = abs(p[-1]).bit_length()
-    return 1 + max((-((lead - abs(a).bit_length() - 1) // i)
-                    for i, a in enumerate(reversed(p[:-1]), 1) if a), default=0)
-
-
 def _sign_change_points(p: list[int]) -> list[tuple[int, int]] | None:
     """Points 0 = z_0 < ... < z_d, as (numerator, denominator) pairs, at
     which p of degree d takes nonzero values of alternating sign, or None
     if the search finds none.  Between two such points lies a root, so p
     then has d distinct positive roots.
 
-    First come the Newton-polygon seeds: 0, sqrt|p_(i-1) / p_(i+1)|
-    rounded down for i = 1..d-1, which lies between the i-th and
-    (i+1)-th roots when they are far apart, and the power of two above
-    |p_(d-1) / p_d|, the sum of the roots if all are positive.  At the
-    first seed that breaks the alternation, the grid (``_grid_points``)
-    takes over between Fujiwara's bounds: every root lies below 2^top,
-    and every nonzero root above 2^-low.  The seeds and the bounds only
-    place the points: the points are checked whatever they are."""
+    The points come from one source, the Newton-polygon seeds: 0,
+    sqrt|p_(i-1) / p_(i+1)| rounded down for i = 1..d-1, which lies
+    between the i-th and (i+1)-th roots when they are far apart, and the
+    power of two above |p_(d-1) / p_d|, the sum of the roots if all are
+    positive.  At the first seed that breaks the alternation, the same
+    seeds, sorted, are refined by midpoints (``_grid_points``).  The seeds
+    only place the points: the points are checked whatever they are."""
+    # By Descartes' rule, d distinct positive roots need d + 1 nonzero
+    # coefficients of alternating sign.
+    if not all(p):
+        return None
     d = len(p) - 1
-    if all(p):
-        # 2^-shift <= z_1 / 2^(_REFINEMENTS + 1), as
-        # |p_0 / p_2| > 2^(bits(p_0) - 1 - bits(p_2)).
-        shift = (max((p[2].bit_length() - p[0].bit_length()) // 2 + 2, 0)
-                 + _REFINEMENTS if d > 1 else 0)
-        zs = [0] + [math.isqrt((abs(a) << 2 * shift) // abs(b))
-                    for a, b in zip(p, p[2:])]
-        if d:
-            zs.append(1 << ((abs(p[-2]) // abs(p[-1])).bit_length() + shift))
-        sign = _sign_reader(p, shift)
-        # p(0) = p_0 is nonzero.
-        last, prev = (p[0] > 0) - (p[0] < 0), 0
-        for z in zs[1:]:
-            if z <= prev:
-                break
-            s = sign(z)
-            if not s or s == last:
-                break
-            last, prev = s, z
-        else:
-            return [(z, 1 << shift) for z in zs]
-    top, low = _root_bits(p), _root_bits(p[::-1])
-    shift = max(low, 0) + _REFINEMENTS
-    zs = _grid_points(_sign_reader(p, shift), d,
-                      [0] + [1 << (j + shift) for j in range(-low, top + 1)])
+    # 2^-shift <= z_1 / 2^(_REFINEMENTS + 1), as
+    # |p_0 / p_2| > 2^(bits(p_0) - 1 - bits(p_2)).
+    shift = (max((p[2].bit_length() - p[0].bit_length()) // 2 + 2, 0)
+             + _REFINEMENTS if d > 1 else 0)
+    zs = [0] + [math.isqrt((abs(a) << 2 * shift) // abs(b))
+                for a, b in zip(p, p[2:])]
+    if d:
+        zs.append(1 << ((abs(p[-2]) // abs(p[-1])).bit_length() + shift))
+    sign = _sign_reader(p, shift)
+    # p(0) = p_0 is nonzero.
+    last, prev = (p[0] > 0) - (p[0] < 0), 0
+    for z in zs[1:]:
+        if z <= prev:
+            break
+        s = sign(z)
+        if not s or s == last:
+            break
+        last, prev = s, z
+    else:
+        return [(z, 1 << shift) for z in zs]
+    # Sorted, since alternation between points out of order proves nothing.
+    zs = _grid_points(sign, d, sorted(zs))
     return None if zs is None else [(z, 1 << shift) for z in zs]
 
 
@@ -308,8 +300,8 @@ def _sign_reader(p: list[int], shift: int):
 
 
 def _grid_points(sign, d: int, zs: list[int]) -> list[int] | None:
-    """d + 1 increasing points among zs and the midpoints of up to
-    _REFINEMENTS refinements of zs, at which ``sign`` is nonzero and
+    """d + 1 increasing points among zs (increasing) and the midpoints of
+    up to _REFINEMENTS refinements of zs, at which ``sign`` is nonzero and
     alternates, or None."""
     signs = [sign(z) for z in zs]
     for refinement in range(_REFINEMENTS + 1):
@@ -390,9 +382,9 @@ def is_real_rooted(p: IntPolynomial) -> bool:
         If P(z) = g(-2 - z) (``_palindromic_reduction``, one packed sum in
         which each (1 + x)^2 is a factor -z, stripped) changes sign m
         times at points 0 = z_0 < ... < z_m (``_sign_change_points``:
-        Newton-polygon seeds, then a grid between Fujiwara's bounds on
-        reversed P and on P), g has m distinct roots below -2, each giving
-        two distinct negative roots of r, so every root of q is real: True.
+        Newton-polygon seeds, refined by midpoints where they miss), g has
+        m distinct roots below -2, each giving two distinct negative roots
+        of r, so every root of q is real: True.
     (3) otherwise, for any other q or a palindrome without such points,
         q's own square-free chain, read at -inf and +inf, decides.  Its
         degree is the number of distinct roots of q, repeated roots, -1

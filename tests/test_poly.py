@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -621,16 +622,32 @@ class TestRoutes:
         grid = poly._grid_points
         calls = []
 
-        def record(*args):
-            calls.append(grid(*args))
-            return calls[-1]
+        def record(sign, d, zs):
+            calls.append((zs, grid(sign, d, zs)))
+            return calls[-1][1]
 
         monkeypatch.setattr(poly, "_grid_points", record)
         c = list(flag_rows(2, 40)[-1].coefficients)
         P = poly._palindromic_reduction(c)
         points = poly._sign_change_points(P)
-        assert len(calls) == 1 and calls[0] is not None
+        [(zs, found)] = calls
+        assert found is not None
         check_points(P, points)
+        # The grid refines the seeds themselves, sorted, on the points'
+        # denominator 2^shift: 0, floor(2^shift sqrt|P_(i-1) / P_(i+1)|)
+        # and 2^shift times the power of two above |P_(m-1) / P_m|.
+        shift = points[0][1].bit_length() - 1
+        seeds = [0] + [math.isqrt((abs(a) << 2 * shift) // abs(b))
+                       for a, b in zip(P, P[2:])]
+        seeds.append(1 << ((abs(P[-2]) // abs(P[-1])).bit_length() + shift))
+        assert zs == sorted(seeds) and len(zs) == len(P)
+
+    def test_certificate_reaches_the_quotient_rows_101_to_150(self, routes):
+        for p in flag_rows(2, 150)[100:]:
+            assert is_real_rooted(p)
+        assert len(routes["certificates"]) == 50
+        for P, points in routes["certificates"][::10]:
+            check_points(P, points)
 
     @given(st.one_of(palindromes(12, 8),
                      st.lists(st.integers(-50, 50), min_size=1, max_size=25)))
@@ -693,7 +710,10 @@ class TestRoutes:
         [-5, -1],            # y - 3: a real root above 2
         [1, -2, 1],          # (y + 3)^2: a double root
         [4, 4, 1],           # y^2
-    ], ids=[f"g{i}" for i in range(6)])
+        # One sign variation, so one positive root, though its unsorted
+        # seeds 0, 61, 56, 128 (over 2^6) take alternating signs.
+        [-48, -28, 52, 36],
+    ], ids=[f"g{i}" for i in range(7)])
     def test_no_certificate_without_distinct_roots_below_minus_two(self, P):
         assert poly._sign_change_points(P) is None
 
