@@ -102,6 +102,12 @@ count 60 '' report.txt
 count 1 ' real_rooted=true$' report.txt
 head -1 report.txt > first.txt
 count 1 '^alpha=3 n=1 .* real_rooted=true$' first.txt
+# A colored-descent row is not palindromic and keeps every Newton
+# inequality, so the Sturm chain decides it: the (3, 40) quotient row,
+# capped at 3^39 * 40!, takes well under a second.
+timeout 30 "${cli[@]}" poly --stat descent --alpha 3 --n 40 --cap 3306541685553205566003624768132249085847261660988649242624000000000 > descent.txt
+count 1 '^real_rooted: true$' descent.txt
+count 1 '^palindromic: false$' descent.txt
 # Builder memory grows like alpha * n, not alpha^2, so (20000, 2) fits too.
 timeout 60 "${cli[@]}" poly --alpha 20000 --n 2 --format csv > wide.csv
 count 20002 '' wide.csv

@@ -14,8 +14,9 @@ the flags it reads.  Each report renders from one record,
 its text and exit status, and :func:`main` alone writes the text.
 
 Exit codes: 0 success/verified, 1 verification counterexample, 2 usage
-error (including an invalid ``--cap`` or ``WREATH_CAP`` and an ``--out``
-path that cannot be written), 3 resource-cap refusal.
+error (including an invalid ``--cap`` or ``WREATH_CAP``, an ``--out``
+path that cannot be written and a stdout that its reader closed), 3
+resource-cap refusal.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .core import ValidationError
@@ -167,7 +169,9 @@ def _sweep_json(args, rows: list[dict]) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
+        # Flushed here, so that a closed stdout fails inside main's guard.
         sys.stdout.write(text)
+        sys.stdout.flush()
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
@@ -245,6 +249,14 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except BrokenPipeError as exc:
+        # The reader closed stdout.  Pointing it at os.devnull leaves the
+        # flush at interpreter exit nothing to fail on.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

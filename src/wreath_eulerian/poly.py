@@ -18,8 +18,9 @@ factor it holds.
     being a factor -z that it strips.  If P takes nonzero values of
     alternating sign at m + 1 points 0 = z_0 < ... < z_m, it has m
     distinct roots z > 0, so g has m below -2 and every root of q is
-    real: True.  The points come from Newton-polygon seeds on P's
-    coefficients, refined by midpoints where they miss.  Eulerian
+    real: True.  The points come from one search: its round 0 is the
+    Newton-polygon seeds on P's coefficients, sorted, and each later
+    round adds the midpoints of neighbouring points.  Eulerian
     polynomials have simple negative roots (Frobenius; Brändén,
     "Unimodality, log-concavity, real-rootedness and beyond", 2015), so
     the alpha <= 2 flag rows find such points.
@@ -247,13 +248,15 @@ def _sign_change_points(p: list[int]) -> list[tuple[int, int]] | None:
     if the search finds none.  Between two such points lies a root, so p
     then has d distinct positive roots.
 
-    The points come from one source, the Newton-polygon seeds: 0,
+    One search.  Its round 0 is the Newton-polygon seeds, sorted: 0,
     sqrt|p_(i-1) / p_(i+1)| rounded down for i = 1..d-1, which lies
     between the i-th and (i+1)-th roots when they are far apart, and the
     power of two above |p_(d-1) / p_d|, the sum of the roots if all are
-    positive.  At the first seed that breaks the alternation, the same
-    seeds, sorted, are refined by midpoints (``_grid_points``).  The seeds
-    only place the points: the points are checked whatever they are."""
+    positive.  Each round keeps the first point of each run of equal
+    nonzero signs; with d + 1 of them left, they are the points.  Otherwise
+    the midpoints of neighbouring points join the round's points, for up
+    to _REFINEMENTS rounds.  The seeds only place the points: the points
+    are checked whatever they are."""
     # By Descartes' rule, d distinct positive roots need d + 1 nonzero
     # coefficients of alternating sign.
     if not all(p):
@@ -267,42 +270,17 @@ def _sign_change_points(p: list[int]) -> list[tuple[int, int]] | None:
                 for a, b in zip(p, p[2:])]
     if d:
         zs.append(1 << ((abs(p[-2]) // abs(p[-1])).bit_length() + shift))
-    sign = _sign_reader(p, shift)
-    # p(0) = p_0 is nonzero.
-    last, prev = (p[0] > 0) - (p[0] < 0), 0
-    for z in zs[1:]:
-        if z <= prev:
-            break
-        s = sign(z)
-        if not s or s == last:
-            break
-        last, prev = s, z
-    else:
-        return [(z, 1 << shift) for z in zs]
     # Sorted, since alternation between points out of order proves nothing.
-    zs = _grid_points(sign, d, sorted(zs))
-    return None if zs is None else [(z, 1 << shift) for z in zs]
-
-
-def _sign_reader(p: list[int], shift: int):
-    """z -> the sign of p at z / 2^shift, by homogeneous integer Horner."""
-    d = len(p) - 1
+    zs.sort()
     scaled = [a << shift * (d - i) for i, a in enumerate(p)][::-1]
 
     def sign(z: int) -> int:
-        # p(z / 2^shift) * 2^(shift d).
+        # p(z / 2^shift) * 2^(shift d), by homogeneous integer Horner.
         value = 0
         for a in scaled:
             value = value * z + a
         return (value > 0) - (value < 0)
 
-    return sign
-
-
-def _grid_points(sign, d: int, zs: list[int]) -> list[int] | None:
-    """d + 1 increasing points among zs (increasing) and the midpoints of
-    up to _REFINEMENTS refinements of zs, at which ``sign`` is nonzero and
-    alternates, or None."""
     signs = [sign(z) for z in zs]
     for refinement in range(_REFINEMENTS + 1):
         firsts = []
@@ -312,7 +290,7 @@ def _grid_points(sign, d: int, zs: list[int]) -> list[int] | None:
                 firsts.append(z)
                 last = s
         if len(firsts) == d + 1:
-            return firsts
+            return [(z, 1 << shift) for z in firsts]
         if refinement == _REFINEMENTS:
             return None
         mids = [(a + b) >> 1 for a, b in zip(zs, zs[1:])]
@@ -381,10 +359,10 @@ def is_real_rooted(p: IntPolynomial) -> bool:
         x^2 - y x + 1, both real and distinct iff y is real with |y| > 2.
         If P(z) = g(-2 - z) (``_palindromic_reduction``, one packed sum in
         which each (1 + x)^2 is a factor -z, stripped) changes sign m
-        times at points 0 = z_0 < ... < z_m (``_sign_change_points``:
-        Newton-polygon seeds, refined by midpoints where they miss), g has
-        m distinct roots below -2, each giving two distinct negative roots
-        of r, so every root of q is real: True.
+        times at points 0 = z_0 < ... < z_m (``_sign_change_points``: one
+        search, whose round 0 is the Newton-polygon seeds and whose later
+        rounds add midpoints), g has m distinct roots below -2, each giving
+        two distinct negative roots of r, so every root of q is real: True.
     (3) otherwise, for any other q or a palindrome without such points,
         q's own square-free chain, read at -inf and +inf, decides.  Its
         degree is the number of distinct roots of q, repeated roots, -1

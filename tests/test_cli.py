@@ -307,9 +307,9 @@ class TestDeterminism:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
-def run_process(cwd, *argv, cap_env=None):
+def run_process(cwd, *argv, cap_env=None, stdout=subprocess.PIPE):
     """The CLI in a fresh interpreter, so an uncaught exception would show
-    as a traceback on stderr."""
+    as a traceback on stderr; stdout is captured unless given."""
     env = dict(os.environ)
     env.pop("WREATH_CAP", None)
     if cap_env is not None:
@@ -319,8 +319,8 @@ def run_process(cwd, *argv, cap_env=None):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "wreath_eulerian.cli", *argv],
-        capture_output=True, text=True, env=env, cwd=cwd, timeout=60)
+        [sys.executable, "-m", "wreath_eulerian.cli", *argv], stdout=stdout,
+        stderr=subprocess.PIPE, text=True, env=env, cwd=cwd, timeout=60)
 
 
 class TestStartup:
@@ -371,6 +371,21 @@ class TestFailurePaths:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
         assert needle in lines[0]
+
+    def test_closed_stdout_is_one_line_usage_error(self, tmp_path):
+        # Like an --out path that cannot be written: no traceback, and not
+        # exit 1, the counterexample code.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_process(tmp_path, "poly", "--alpha", "2", "--n", "3",
+                               stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write stdout: ")
 
     def test_verify_text_format_still_accepted(self, capsys):
         code, out, _ = run(capsys, "verify", "involution", "--alpha", "2",

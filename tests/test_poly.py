@@ -500,6 +500,28 @@ def check_certificate(p, P, points):
     check_reduction(p, P)
 
 
+def seeds(P, points):
+    """Round 0 of the certificate search on P of degree m, sorted, on the
+    points' denominator 2^shift: 0, floor(2^shift sqrt|P_(i-1) / P_(i+1)|)
+    and 2^shift times the power of two above |P_(m-1) / P_m|."""
+    shift = points[0][1].bit_length() - 1
+    zs = [0] + [math.isqrt((abs(a) << 2 * shift) // abs(b))
+                for a, b in zip(P, P[2:])]
+    if len(P) > 1:
+        zs.append(1 << ((abs(P[-2]) // abs(P[-1])).bit_length() + shift))
+    return sorted(zs)
+
+
+def refined(zs):
+    """The sorted zs and the midpoints, rounded down, of each neighbouring
+    pair: one round of refinement."""
+    return sorted(zs + [(a + b) >> 1 for a, b in zip(zs, zs[1:])])
+
+
+def numerators(points):
+    return [z for z, _ in points]
+
+
 def chain_verdict(p):
     """The verdict of p's own Sturm chain, with no reduction and no fast
     route: as many distinct real roots as distinct roots."""
@@ -582,6 +604,8 @@ class TestRoutes:
             assert is_real_rooted(p)
             [(P, points)] = routes["certificates"]
             check_certificate(p, P, points)
+            # At most one round of midpoints refines the seeds.
+            assert set(numerators(points)) <= set(refined(seeds(P, points)))
         assert not any(routes["newton"])
 
     def test_newton_rejects_no_alpha_one_or_two_row(self, routes):
@@ -606,41 +630,48 @@ class TestRoutes:
     @pytest.mark.parametrize("beta", [0, None, "last"],
                              ids=["quotient", "full", "fixed"])
     def test_seeds_alone_certify_the_flag_rows_to_36(
-            self, routes, monkeypatch, alpha, beta):
-        def refuse(*args):
-            raise AssertionError("grid searched")
-
-        monkeypatch.setattr(poly, "_grid_points", refuse)
+            self, routes, alpha, beta):
+        # The points are the sorted seeds themselves: round 0 settles it.
         if beta == "last":
             beta = alpha - 1
         for p in flag_rows(alpha, 60, beta)[:36]:
             assert is_real_rooted(p)
         for P, points in routes["certificates"]:
             check_points(P, points)
+            assert numerators(points) == seeds(P, points)
 
-    def test_the_grid_certifies_a_row_the_seeds_miss(self, monkeypatch):
-        grid = poly._grid_points
-        calls = []
+    def test_the_grid_certifies_a_row_the_seeds_miss(self):
+        # Row 37 is the last whose points are its seeds, on every alpha 1-2
+        # domain; row 38's points take a round of midpoints.
+        for alpha, beta in [(1, 0), (1, None), (2, 0), (2, None), (2, 1)]:
+            for n in (37, 38):
+                # The x^k-free rest, as is_real_rooted reads it.
+                c = flag_rows(alpha, 60, beta)[n - 1].coefficients
+                c = list(c[next(i for i, a in enumerate(c) if a):])
+                P = poly._palindromic_reduction(c)
+                points = poly._sign_change_points(P)
+                check_points(P, points)
+                zs = seeds(P, points)
+                assert len(zs) == len(P)
+                assert (numerators(points) == zs) == (n == 37)
+                assert set(numerators(points)) <= set(refined(zs))
 
-        def record(sign, d, zs):
-            calls.append((zs, grid(sign, d, zs)))
-            return calls[-1][1]
+    @pytest.mark.parametrize("beta", [0, None], ids=["quotient", "full"])
+    def test_colored_descent_rows_are_real_rooted(self, monkeypatch, beta):
+        # The paper's first result: the colored-descent polynomials, over the
+        # quotient as over the full group, are real-rooted.  So no row breaks
+        # a Newton inequality.
+        newton, verdicts = poly._newton_fails, []
 
-        monkeypatch.setattr(poly, "_grid_points", record)
-        c = list(flag_rows(2, 40)[-1].coefficients)
-        P = poly._palindromic_reduction(c)
-        points = poly._sign_change_points(P)
-        [(zs, found)] = calls
-        assert found is not None
-        check_points(P, points)
-        # The grid refines the seeds themselves, sorted, on the points'
-        # denominator 2^shift: 0, floor(2^shift sqrt|P_(i-1) / P_(i+1)|)
-        # and 2^shift times the power of two above |P_(m-1) / P_m|.
-        shift = points[0][1].bit_length() - 1
-        seeds = [0] + [math.isqrt((abs(a) << 2 * shift) // abs(b))
-                       for a, b in zip(P, P[2:])]
-        seeds.append(1 << ((abs(P[-2]) // abs(P[-1])).bit_length() + shift))
-        assert zs == sorted(seeds) and len(zs) == len(P)
+        def record(c):
+            verdicts.append(newton(c))
+            return verdicts[-1]
+
+        monkeypatch.setattr(poly, "_newton_fails", record)
+        for alpha in range(1, 6):
+            for p in enumeration._rows(alpha, 30, "descent", beta, 10 ** 60):
+                assert is_real_rooted(p)
+        assert len(verdicts) == 150 and not any(verdicts)
 
     def test_certificate_reaches_the_quotient_rows_101_to_150(self, routes):
         for p in flag_rows(2, 150)[100:]:
