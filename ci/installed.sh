@@ -94,14 +94,20 @@ for domain in "full" "fixed --beta 1"; do
   timeout 60 "${cli[@]}" poly --alpha 2 --n 60 --domain $domain --cap 9593444981835986954891939947669322185182489942608389896364094195294295395488811817369600000000000000 > domain.txt
   count 1 '^real_rooted: true$' domain.txt
 done
-# Newton's inequalities reject every alpha = 3 row past n = 1 before any
-# certificate search: the report to n = 60, capped at 3^59 * 60!, takes
-# well under a second.
+# Newton's middle inequality, read in O(1), rejects every alpha = 3 row
+# past n = 1 but n = 3; there the certificate search stops at its sign
+# guard and the rest of Newton's inequalities reject.  So the report to
+# n = 60, capped at 3^59 * 60!, takes well under a second.
 timeout 30 "${cli[@]}" report --alpha 3 --max-n 60 --cap 117578760567418188468572280676481373826264146337364972585584376233620672727431171775208728245043200000000000000 > report.txt
 count 60 '' report.txt
 count 1 ' real_rooted=true$' report.txt
 head -1 report.txt > first.txt
 count 1 '^alpha=3 n=1 .* real_rooted=true$' first.txt
+# The same holds wide: the report to n = 150, capped at 3^149 * 150!,
+# takes a second or two, most of it building the rows.
+timeout 30 "${cli[@]}" report --alpha 3 --max-n 150 --cap 7046287581564672026693630546409744940135929981241908715182725990474494017302187032327244766096314905082362775938096305100487335201722459969112068004443358274282385846950872905568633860379667087864150740723185542624187311391146378117702953091512620855069892438356254671078522839967332913031319388160000000000000000000000000000000000000 > report.txt
+count 150 '' report.txt
+count 1 ' real_rooted=true$' report.txt
 # A colored-descent row is not palindromic and keeps every Newton
 # inequality, so the Sturm chain decides it: the (3, 40) quotient row,
 # capped at 3^39 * 40!, takes well under a second.

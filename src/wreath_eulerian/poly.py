@@ -7,29 +7,37 @@ if a leading coefficient were zero.
 
 Real-rootedness is decided exactly, in one sequence.  The real root x = 0
 is divided out first, and the rest q is read as it is, with every (1 + x)
-factor it holds.
-(1) Newton's inequalities (Hardy, Littlewood and Pólya, *Inequalities*,
-    §2.22) hold for every real-rooted polynomial, so a coefficient of q
-    that breaks one proves False.  A palindrome is read only up to the
-    middle: its inequalities come in equal pairs.
+factor it holds.  Newton's inequalities (Hardy, Littlewood and Pólya,
+*Inequalities*, §2.22) hold for every real-rooted polynomial, so a
+coefficient of q that breaks one proves False.
+(1) A palindromic q is first read at its middle coefficient alone: one
+    Newton inequality, O(1).  Of the flag rows with 3 <= alpha <= 7 and
+    n <= 30, it rejects every one past n = 1 but the (3, 3) rows of the
+    quotient and of last color 2.
 (2) A palindromic q is (1 + x)^j r with r(x) = x^m g(x + 1/x), g of half
     the degree of r (Petersen, *Eulerian Numbers*, ch. 4).  One packed
     Clenshaw sum over q gives P(z) = g(-2 - z), each (1 + x)^2 = -x z
     being a factor -z that it strips.  If P takes nonzero values of
     alternating sign at m + 1 points 0 = z_0 < ... < z_m, it has m
     distinct roots z > 0, so g has m below -2 and every root of q is
-    real: True.  The points come from one search: its round 0 is the
-    Newton-polygon seeds on P's coefficients, sorted, and each later
+    real: True.  By Descartes' rule such points need P's m + 1
+    coefficients to be nonzero and to alternate strictly in sign, which
+    is checked first.  The points come from one search: its round 0 is
+    the Newton-polygon seeds on P's coefficients, sorted, and each later
     round adds the midpoints of neighbouring points.  Eulerian
     polynomials have simple negative roots (Frobenius; Brändén,
     "Unimodality, log-concavity, real-rootedness and beyond", 2015), so
-    the alpha <= 2 flag rows find such points.
-(3) Otherwise, for any other q or a palindrome without such points, q's
-    own square-free chain, read at -inf and +inf, decides (Sturm's
-    theorem): the chain of q / gcd(q, q') has the roots of q as a set, as
-    many as its degree, so q is real-rooted iff the chain counts that
-    many distinct real roots.  A repeated root, -1 included, counts once
-    on both sides.  ``real_root_count`` always takes the chain.
+    the alpha <= 2 flag rows find such points, and they never take the
+    later steps.
+(3) Newton's inequalities for every k: a palindrome only up to the
+    middle, since its inequalities come in equal pairs.  Any other q
+    starts here.
+(4) Otherwise q's own square-free chain, read at -inf and +inf, decides
+    (Sturm's theorem): the chain of q / gcd(q, q') has the roots of q as
+    a set, as many as its degree, so q is real-rooted iff the chain
+    counts that many distinct real roots.  A repeated root, -1 included,
+    counts once on both sides.  ``real_root_count`` always takes the
+    chain.
 No floating point anywhere.
 """
 from __future__ import annotations
@@ -54,7 +62,10 @@ class IntPolynomial(_Record):
             coefficients = _as_tuple("coefficients", coefficients)
         if not coefficients:
             raise ValueError("coefficient sequence must be nonempty")
-        if not all(map(_is_int, coefficients)):
+        # One pass over the types; the scan for a bool or a non-int runs
+        # only when some coefficient's type is not int itself.
+        if (not {*map(type, coefficients)} <= {int}
+                and not all(map(_is_int, coefficients))):
             bad = next(c for c in coefficients if not _is_int(c))
             raise ValidationError(f"coefficient {bad!r} is not an int")
         object.__setattr__(self, "coefficients", coefficients)
@@ -114,12 +125,13 @@ def is_unimodal(p: IntPolynomial) -> bool:
     c = p.coefficients
     if not any(c):
         raise ValueError("zero polynomial rejected")
+    n = len(c)
     i = 1
-    while i < len(c) and c[i - 1] <= c[i]:
+    while i < n and c[i - 1] <= c[i]:
         i += 1
-    while i < len(c) and c[i - 1] >= c[i]:
+    while i < n and c[i - 1] >= c[i]:
         i += 1
-    return i == len(c)
+    return i == n
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +234,24 @@ def _palindromic_reduction(c: list[int]) -> list[int]:
     return p
 
 
+def _newton_breaks(c: list[int], k: int) -> bool:
+    """True iff c_k^2 k (d - k) < c_(k-1) c_(k+1) (k + 1) (d - k + 1) for
+    the trimmed c of degree d and 1 <= k <= d - 1.  Newton's inequality
+    e_k^2 >= e_(k-1) e_(k+1) for e_k = c_k / C(d, k) holds for every
+    real-rooted polynomial, whatever the signs of its coefficients, so a
+    k that breaks it proves c is not."""
+    d = len(c) - 1
+    return c[k] * c[k] * k * (d - k) < c[k - 1] * c[k + 1] * (k + 1) * (d - k + 1)
+
+
 def _newton_fails(c: list[int]) -> bool:
-    """True iff some 1 <= k <= d - 1 has
-    c_k^2 k (d - k) < c_(k-1) c_(k+1) (k + 1) (d - k + 1) for the trimmed c
-    of degree d.  Newton's inequalities e_k^2 >= e_(k-1) e_(k+1) for
-    e_k = c_k / C(d, k) hold for every real-rooted polynomial, whatever the
-    signs of its coefficients, so a failing k proves c is not.  On a
-    palindrome the inequalities at k and d - k are one inequality, so
-    k <= d / 2 is read."""
+    """True iff some 1 <= k <= d - 1 breaks Newton's inequality
+    (``_newton_breaks``) for the trimmed c of degree d.  On a palindrome
+    the inequalities at k and d - k are one inequality, so k <= d / 2 is
+    read."""
     d = len(c) - 1
     last = d // 2 if c == c[::-1] else d - 1
-    for k, a, b, e in zip(range(1, last + 1), c, c[1:], c[2:]):
-        if b * b * k * (d - k) < a * e * (k + 1) * (d - k + 1):
-            return True
-    return False
+    return any(_newton_breaks(c, k) for k in range(1, last + 1))
 
 
 #: Rounds of midpoint refinement before the certificate search gives up.
@@ -248,41 +264,48 @@ def _sign_change_points(p: list[int]) -> list[tuple[int, int]] | None:
     if the search finds none.  Between two such points lies a root, so p
     then has d distinct positive roots.
 
-    One search.  Its round 0 is the Newton-polygon seeds, sorted: 0,
-    sqrt|p_(i-1) / p_(i+1)| rounded down for i = 1..d-1, which lies
-    between the i-th and (i+1)-th roots when they are far apart, and the
-    power of two above |p_(d-1) / p_d|, the sum of the roots if all are
-    positive.  Each round keeps the first point of each run of equal
-    nonzero signs; with d + 1 of them left, they are the points.  Otherwise
-    the midpoints of neighbouring points join the round's points, for up
-    to _REFINEMENTS rounds.  The seeds only place the points: the points
-    are checked whatever they are."""
-    # By Descartes' rule, d distinct positive roots need d + 1 nonzero
-    # coefficients of alternating sign.
-    if not all(p):
+    By Descartes' rule, d distinct positive roots need d + 1 nonzero
+    coefficients of strictly alternating sign, so any other p gets None
+    in O(d), before any point is evaluated.  Then one search.  Its round 0
+    is the Newton-polygon seeds, sorted: 0, sqrt|p_(i-1) / p_(i+1)|
+    rounded down for i = 1..d-1, which lies between the i-th and (i+1)-th
+    roots when they are far apart, and the power of two above
+    |p_(d-1) / p_d|, the sum of the roots if all are positive.  Each round
+    keeps the first point of each run of equal nonzero signs; with d + 1
+    of them left, they are the points.  Otherwise the midpoints of
+    neighbouring points join the round's points, for up to _REFINEMENTS
+    rounds.  The seeds only place the points: the points are checked
+    whatever they are."""
+    positive, negative = (p[::2], p[1::2]) if p[0] > 0 else (p[1::2], p[::2])
+    if (positive and min(positive) <= 0) or (negative and max(negative) >= 0):
         return None
     d = len(p) - 1
     # 2^-shift <= z_1 / 2^(_REFINEMENTS + 1), as
     # |p_0 / p_2| > 2^(bits(p_0) - 1 - bits(p_2)).
     shift = (max((p[2].bit_length() - p[0].bit_length()) // 2 + 2, 0)
              + _REFINEMENTS if d > 1 else 0)
-    zs = [0] + [math.isqrt((abs(a) << 2 * shift) // abs(b))
-                for a, b in zip(p, p[2:])]
+    new = [0] + [math.isqrt((abs(a) << 2 * shift) // abs(b))
+                 for a, b in zip(p, p[2:])]
     if d:
-        zs.append(1 << ((abs(p[-2]) // abs(p[-1])).bit_length() + shift))
+        new.append(1 << ((abs(p[-2]) // abs(p[-1])).bit_length() + shift))
     # Sorted, since alternation between points out of order proves nothing.
-    zs.sort()
+    new.sort()
     scaled = [a << shift * (d - i) for i, a in enumerate(p)][::-1]
-
-    def sign(z: int) -> int:
-        # p(z / 2^shift) * 2^(shift d), by homogeneous integer Horner.
-        value = 0
-        for a in scaled:
-            value = value * z + a
-        return (value > 0) - (value < 0)
-
-    signs = [sign(z) for z in zs]
     for refinement in range(_REFINEMENTS + 1):
+        # p(z / 2^shift) * 2^(shift d) at each new z, by homogeneous
+        # integer Horner.
+        fresh = []
+        for z in new:
+            value = 0
+            for a in scaled:
+                value = value * z + a
+            fresh.append((value > 0) - (value < 0))
+        if refinement:
+            # Each midpoint goes between the two points it halves.
+            zs = [z for pair in zip(zs, new) for z in pair] + zs[-1:]
+            signs = [s for pair in zip(signs, fresh) for s in pair] + signs[-1:]
+        else:
+            zs, signs = new, fresh
         firsts = []
         last = 0
         for z, s in zip(zs, signs):
@@ -291,11 +314,8 @@ def _sign_change_points(p: list[int]) -> list[tuple[int, int]] | None:
                 last = s
         if len(firsts) == d + 1:
             return [(z, 1 << shift) for z in firsts]
-        if refinement == _REFINEMENTS:
-            return None
-        mids = [(a + b) >> 1 for a, b in zip(zs, zs[1:])]
-        zs = [z for pair in zip(zs, mids) for z in pair] + zs[-1:]
-        signs = [s for pair in zip(signs, map(sign, mids)) for s in pair] + signs[-1:]
+        new = [(a + b) >> 1 for a, b in zip(zs, zs[1:])]
+    return None
 
 
 def _sign_at(c: list[int], point) -> int:
@@ -351,33 +371,43 @@ def is_real_rooted(p: IntPolynomial) -> bool:
     and a nonzero constant counts as real-rooted.
 
     Stripping the low-order zeros, the root x = 0, keeps the verdict.
-    The x^k-free rest q then takes one sequence, and the first step that
-    settles the verdict gives it:
-    (1) q breaks one of Newton's inequalities (``_newton_fails``): False.
+    The x^k-free rest q of degree d then takes one sequence, and the first
+    step that settles the verdict gives it:
+    (1) a palindromic q breaks Newton's inequality at its middle index
+        k = floor(d / 2) (``_newton_breaks``, O(1)): False.
     (2) q is palindromic, so q = (1 + x)^j r with r of even degree 2m and
         r(x) = x^m g(x + 1/x); each root y of g gives the two roots of
         x^2 - y x + 1, both real and distinct iff y is real with |y| > 2.
         If P(z) = g(-2 - z) (``_palindromic_reduction``, one packed sum in
         which each (1 + x)^2 is a factor -z, stripped) changes sign m
-        times at points 0 = z_0 < ... < z_m (``_sign_change_points``: one
-        search, whose round 0 is the Newton-polygon seeds and whose later
-        rounds add midpoints), g has m distinct roots below -2, each giving
-        two distinct negative roots of r, so every root of q is real: True.
-    (3) otherwise, for any other q or a palindrome without such points,
-        q's own square-free chain, read at -inf and +inf, decides.  Its
-        degree is the number of distinct roots of q, repeated roots, -1
-        and roots on the unit circle included, and the division by
-        gcd(q, q') flips every sign at -inf or +inf together, so the count
-        of real roots is unchanged."""
+        times at points 0 = z_0 < ... < z_m (``_sign_change_points``: a
+        P whose coefficients do not strictly alternate in sign is refused
+        in O(m), and otherwise one search, whose round 0 is the
+        Newton-polygon seeds and whose later rounds add midpoints, looks
+        for them), g has m distinct roots below -2, each giving two
+        distinct negative roots of r, so every root of q is real: True.
+    (3) q breaks any of Newton's inequalities (``_newton_fails``, once, on
+        q as it is): False.
+    (4) otherwise q's own square-free chain, read at -inf and +inf,
+        decides.  Its degree is the number of distinct roots of q,
+        repeated roots, -1 and roots on the unit circle included, and the
+        division by gcd(q, q') flips every sign at -inf or +inf together,
+        so the count of real roots is unchanged.
+    A real-rooted palindrome keeps every Newton inequality, so it goes
+    from (1) to the certificate; a rest that is not palindromic starts
+    at (3)."""
     c = _nonzero_coefficients(p)
     k = 0
     while c[k] == 0:
         k += 1
-    q = c[k:]
+    q = c[k:] if k else c
+    if q == q[::-1]:
+        if len(q) > 2 and _newton_breaks(q, (len(q) - 1) // 2):
+            return False
+        if _sign_change_points(_palindromic_reduction(q)) is not None:
+            return True
     if _newton_fails(q):
         return False
-    if q == q[::-1] and _sign_change_points(_palindromic_reduction(q)) is not None:
-        return True
     chain = _square_free_chain(q)
     real = (_sign_variations(chain, NEG_INF)
             - _sign_variations(chain, POS_INF))

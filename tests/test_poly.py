@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,22 @@ class TestRingOperations:
         # The message names the first coefficient that is not an int.
         with pytest.raises(ValidationError, match="coefficient 2.5 is not an int"):
             IntPolynomial((1, 2, 2.5, None))
+
+    def test_int_subclass_coefficients_accepted(self):
+        # A type other than int itself takes the per-coefficient scan,
+        # which accepts every int subclass but bool.
+        class Big(int):
+            pass
+
+        p = IntPolynomial((1, Big(2), Big(3)))
+        assert p.coefficients == (1, 2, 3)
+        assert is_real_rooted(p) == chain_verdict(p)
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_bool_and_float_refused_by_name(self, bad):
+        with pytest.raises(ValidationError,
+                           match=f"^coefficient {re.escape(repr(bad))} is not an int$"):
+            IntPolynomial((1, bad, 2))
 
     @given(small_polys, small_polys, small_polys)
     def test_ring_laws(self, p, q, r):
@@ -382,8 +399,7 @@ class TestReductions:
     def test_reduction_and_certificate_of_every_rest(self, case):
         # The rest that the packed reduction reads: x^k and every (1 + x) out.
         p, real, _ = case
-        q = poly._nonzero_coefficients(p)
-        q = rest = q[next(i for i, a in enumerate(q) if a):]
+        q = rest = x_free_rest(p)
         while len(q) > 1 and (quotient := divide_one_plus_x(q)) is not None:
             q = quotient
         assert q == q[::-1]
@@ -486,6 +502,9 @@ def check_points(P, points):
     0 = z_0 < ... < z_m, so it has m distinct positive roots."""
     zs = [Fraction(a, b) for a, b in points]
     assert len(zs) == len(P) and zs == sorted(set(zs)) and zs[0] == 0
+    # Descartes' rule, which the search's guard reads: P's coefficients
+    # are nonzero and strictly alternate in sign.
+    assert P[0] and all(a * b < 0 for a, b in zip(P, P[1:]))
     values = [fraction_value(P, z) for z in zs]
     assert values[0] != 0
     assert all(u * v < 0 for u, v in zip(values, values[1:]))
@@ -516,6 +535,26 @@ def refined(zs):
     """The sorted zs and the midpoints, rounded down, of each neighbouring
     pair: one round of refinement."""
     return sorted(zs + [(a + b) >> 1 for a, b in zip(zs, zs[1:])])
+
+
+def x_free_rest(p):
+    """p's trimmed coefficients with x^k divided out: the rest that
+    is_real_rooted reads."""
+    c = poly._nonzero_coefficients(p)
+    return c[next(i for i, a in enumerate(c) if a):]
+
+
+def middle_breaks(q):
+    """Whether the palindromic rest q of degree d breaks Newton's
+    inequality at k = floor(d / 2), written out here."""
+    d = len(q) - 1
+    k = d // 2
+    return d > 1 and (q[k] * q[k] * k * (d - k)
+                      < q[k - 1] * q[k + 1] * (k + 1) * (d - k + 1))
+
+
+#: The full Newton pass, kept before any test wraps it.
+NEWTON_FAILS = poly._newton_fails
 
 
 def numerators(points):
@@ -564,11 +603,12 @@ def repeated_roots(rng):
 
 
 class TestRoutes:
-    """Which route decides is_real_rooted: Newton's inequalities reject, a
-    sign-change certificate accepts a palindromic rest, read in the frame
-    z = -2 - (x + 1/x), and the Sturm chain runs only when neither settles
-    the verdict.  Every certificate is re-checked with Fraction arithmetic
-    that shares no code with poly."""
+    """Which route decides is_real_rooted: on a palindromic rest, Newton's
+    middle inequality rejects, then a sign-change certificate, read in the
+    frame z = -2 - (x + 1/x), accepts; then Newton's full pass rejects, and
+    the Sturm chain runs only when none of these settles the verdict.
+    Every certificate is re-checked with Fraction arithmetic that shares
+    no code with poly."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
@@ -606,13 +646,19 @@ class TestRoutes:
             check_certificate(p, P, points)
             # At most one round of midpoints refines the seeds.
             assert set(numerators(points)) <= set(refined(seeds(P, points)))
-        assert not any(routes["newton"])
+        # A certified row never takes Newton's full pass.
+        assert routes["newton"] == []
 
     def test_newton_rejects_no_alpha_one_or_two_row(self, routes):
         # Real-rooted rows keep every Newton inequality, by the theorem.
-        for p in flag_rows(1, 60) + flag_rows(2, 100):
+        rows = flag_rows(1, 60) + flag_rows(2, 100)
+        assert not any(NEWTON_FAILS(x_free_rest(p)) for p in rows)
+        # Each is certified, with no full pass and no chain.
+        for p in rows:
             assert is_real_rooted(p)
-        assert len(routes["newton"]) == 160 and not any(routes["newton"])
+        assert routes["newton"] == []
+        assert len(routes["certificates"]) == 160
+        assert None not in [points for _, points in routes["certificates"]]
 
     @pytest.mark.parametrize("alpha", range(3, 8))
     def test_newton_rejects_every_row_past_one_above_alpha_two(
@@ -621,10 +667,60 @@ class TestRoutes:
         # n = 1 on the full group, whose n = 1 row is [alpha]_x.
         rows = (flag_rows(alpha, 30)[1:] + flag_rows(alpha, 30, None)
                 + flag_rows(alpha, 30, alpha - 1)[1:])
+        assert len(rows) == 88
+        assert all(NEWTON_FAILS(x_free_rest(p)) for p in rows)
+        # With no chain: the middle inequality rejects all but the (3, 3)
+        # pair, whose searches find no points and whose full pass rejects.
         for p in rows:
             assert not is_real_rooted(p)
-        assert routes["newton"] == [True] * 88
-        assert routes["certificates"] == []
+        pair = 2 if alpha == 3 else 0
+        assert routes["newton"] == [True] * pair
+        assert [points for _, points in routes["certificates"]] == [None] * pair
+
+    @pytest.mark.parametrize("alpha", range(3, 8))
+    def test_the_middle_inequality_rejects_all_but_the_three_three_pair(
+            self, alpha):
+        # The same rows, named by domain and n.
+        rows = [(domain, n, p)
+                for domain, beta, first in [("quotient", 0, 2), ("full", None, 1),
+                                            ("fixed", alpha - 1, 2)]
+                for n, p in enumerate(flag_rows(alpha, 30, beta), 1) if n >= first]
+        kept = [(domain, n) for domain, n, p in rows
+                if not middle_breaks(x_free_rest(p))]
+        assert kept == ([("quotient", 3), ("fixed", 3)] if alpha == 3 else [])
+        assert all(poly._newton_breaks(q, (len(q) - 1) // 2) == middle_breaks(q)
+                   for q in map(x_free_rest, (p for _, _, p in rows)))
+
+    def test_the_three_three_pair_stops_at_the_guard(self, monkeypatch):
+        # P = 2 + 3z - z^3 has a zero coefficient and two of one sign, so
+        # the guard refuses it before any seed: with no math module, the
+        # seeds could not be computed.
+        monkeypatch.setattr(poly, "math", None)
+        for beta in (0, 2):
+            P = poly._palindromic_reduction(x_free_rest(flag_rows(3, 3, beta)[2]))
+            assert P == [2, 3, 0, -1]
+            assert poly._sign_change_points(P) is None
+
+    @given(st.lists(st.integers(1, 2 ** 40), min_size=2, max_size=12),
+           st.booleans(), st.data())
+    def test_the_guard_refuses_what_does_not_alternate(
+            self, magnitudes, negate, data):
+        # A strictly alternating P with one coefficient made 0 or given its
+        # neighbours' sign: fewer than deg P sign variations, so fewer
+        # positive roots (Descartes), and the guard refuses it at once.
+        sign = -1 if negate else 1
+        P = [sign * (-1) ** i * a for i, a in enumerate(magnitudes)]
+        i = data.draw(st.integers(0, len(P) - 1))
+        P[i] = data.draw(st.sampled_from([0, -P[i]]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(poly, "math", None)
+            assert poly._sign_change_points(P) is None
+
+    @given(st.lists(st.integers(-2 ** 20, 2 ** 20), min_size=1, max_size=8))
+    def test_every_certificate_alternates(self, P):
+        points = poly._sign_change_points(P)
+        if points is not None:
+            check_points(P, points)
 
     @pytest.mark.parametrize("alpha", [1, 2])
     @pytest.mark.parametrize("beta", [0, None, "last"],
@@ -645,9 +741,7 @@ class TestRoutes:
         # domain; row 38's points take a round of midpoints.
         for alpha, beta in [(1, 0), (1, None), (2, 0), (2, None), (2, 1)]:
             for n in (37, 38):
-                # The x^k-free rest, as is_real_rooted reads it.
-                c = flag_rows(alpha, 60, beta)[n - 1].coefficients
-                c = list(c[next(i for i, a in enumerate(c) if a):])
+                c = x_free_rest(flag_rows(alpha, 60, beta)[n - 1])
                 P = poly._palindromic_reduction(c)
                 points = poly._sign_change_points(P)
                 check_points(P, points)
@@ -661,17 +755,29 @@ class TestRoutes:
         # The paper's first result: the colored-descent polynomials, over the
         # quotient as over the full group, are real-rooted.  So no row breaks
         # a Newton inequality.
-        newton, verdicts = poly._newton_fails, []
+        rows = [p for alpha in range(1, 6)
+                for p in enumeration._rows(alpha, 30, "descent", beta, 10 ** 60)]
+        assert len(rows) == 150
+        assert not any(NEWTON_FAILS(x_free_rest(p)) for p in rows)
+        # Newton's full pass reads each rest at most once, as it is, and
+        # never a certified one.
+        search, newton, found = poly._sign_change_points, [], []
 
-        def record(c):
-            verdicts.append(newton(c))
-            return verdicts[-1]
+        def record_newton(c):
+            newton.append(list(c))
+            return NEWTON_FAILS(c)
 
-        monkeypatch.setattr(poly, "_newton_fails", record)
-        for alpha in range(1, 6):
-            for p in enumeration._rows(alpha, 30, "descent", beta, 10 ** 60):
-                assert is_real_rooted(p)
-        assert len(verdicts) == 150 and not any(verdicts)
+        def record_search(P):
+            found.append(search(P))
+            return found[-1]
+
+        monkeypatch.setattr(poly, "_newton_fails", record_newton)
+        monkeypatch.setattr(poly, "_sign_change_points", record_search)
+        for p in rows:
+            del newton[:], found[:]
+            assert is_real_rooted(p)
+            certified = found != [] and found[-1] is not None
+            assert newton == ([] if certified else [x_free_rest(p)])
 
     def test_certificate_reaches_the_quotient_rows_101_to_150(self, routes):
         for p in flag_rows(2, 150)[100:]:
@@ -709,7 +815,13 @@ class TestRoutes:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(poly, "_newton_fails", record)
             verdict = is_real_rooted(p)
-        assert calls == [list(p.coefficients[k:])]
+        # A palindromic rest that its middle inequality or a certificate
+        # settles never takes the full pass.
+        rest = list(p.coefficients[k:])
+        settled = rest == rest[::-1] and (
+            middle_breaks(rest)
+            or poly._sign_change_points(poly._palindromic_reduction(rest)) is not None)
+        assert calls == ([] if settled else [rest])
         assert verdict == chain_verdict(p)
 
     def test_newton_inequalities_by_hand(self):
@@ -741,10 +853,12 @@ class TestRoutes:
         [-5, -1],            # y - 3: a real root above 2
         [1, -2, 1],          # (y + 3)^2: a double root
         [4, 4, 1],           # y^2
-        # One sign variation, so one positive root, though its unsorted
-        # seeds 0, 61, 56, 128 (over 2^6) take alternating signs.
+        # One sign variation, so one positive root: the guard refuses it.
         [-48, -28, 52, 36],
-    ], ids=[f"g{i}" for i in range(7)])
+        # Alternating, so past the guard, with one real root, though its
+        # unsorted seeds 0, 61, 42, 64 (over 2^6) take alternating signs.
+        [-25, 22, -27, 51],
+    ], ids=[f"g{i}" for i in range(8)])
     def test_no_certificate_without_distinct_roots_below_minus_two(self, P):
         assert poly._sign_change_points(P) is None
 
