@@ -77,8 +77,8 @@ one_pass "" "${cli[@]}" verify symmetry --alpha 3 --n 5 --cap 9720
 # computes no shape verdict.
 timeout 60 "${cli[@]}" poly --alpha 4000 --n 2 --format csv > wide.csv
 count 4002 '' wide.csv
-# In text, the row also gets its verdicts.  Newton's inequalities reject
-# the degree-4000 row in linear time, with no Sturm chain.
+# In text, the row also gets its verdicts.  Newton's middle inequality
+# rejects the degree-4000 row in O(1), with no Sturm chain.
 timeout 30 "${cli[@]}" poly --alpha 4000 --n 2 > wide.txt
 count 1 '^real_rooted: false$' wide.txt
 # A sign-change certificate proves each alpha = 2 row real-rooted, with no
@@ -96,8 +96,8 @@ for domain in "full" "fixed --beta 1"; do
 done
 # Newton's middle inequality, read in O(1), rejects every alpha = 3 row
 # past n = 1 but n = 3; there the certificate search stops at its sign
-# guard and the rest of Newton's inequalities reject.  So the report to
-# n = 60, capped at 3^59 * 60!, takes well under a second.
+# guard and the row's own Sturm chain rejects.  So the report to n = 60,
+# capped at 3^59 * 60!, takes well under a second.
 timeout 30 "${cli[@]}" report --alpha 3 --max-n 60 --cap 117578760567418188468572280676481373826264146337364972585584376233620672727431171775208728245043200000000000000 > report.txt
 count 60 '' report.txt
 count 1 ' real_rooted=true$' report.txt
@@ -108,12 +108,16 @@ count 1 '^alpha=3 n=1 .* real_rooted=true$' first.txt
 timeout 30 "${cli[@]}" report --alpha 3 --max-n 150 --cap 7046287581564672026693630546409744940135929981241908715182725990474494017302187032327244766096314905082362775938096305100487335201722459969112068004443358274282385846950872905568633860379667087864150740723185542624187311391146378117702953091512620855069892438356254671078522839967332913031319388160000000000000000000000000000000000000 > report.txt
 count 150 '' report.txt
 count 1 ' real_rooted=true$' report.txt
-# A colored-descent row is not palindromic and keeps every Newton
-# inequality, so the Sturm chain decides it: the (3, 40) quotient row,
+# A colored-descent row is not palindromic and keeps its middle Newton
+# inequality, so its Sturm chain decides it: the (3, 40) quotient row,
 # capped at 3^39 * 40!, takes well under a second.
 timeout 30 "${cli[@]}" poly --stat descent --alpha 3 --n 40 --cap 3306541685553205566003624768132249085847261660988649242624000000000 > descent.txt
 count 1 '^real_rooted: true$' descent.txt
 count 1 '^palindromic: false$' descent.txt
+# The (3, 3) row of last color 2 keeps its middle inequality and has no
+# certificate, so its chain finds the non-real roots.
+timeout 30 "${cli[@]}" poly --alpha 3 --n 3 --domain fixed --beta 2 > fixed.txt
+count 1 '^real_rooted: false$' fixed.txt
 # Builder memory grows like alpha * n, not alpha^2, so (20000, 2) fits too.
 timeout 60 "${cli[@]}" poly --alpha 20000 --n 2 --format csv > wide.csv
 count 20002 '' wide.csv

@@ -373,14 +373,14 @@ def flag_table(alpha: int, n_max: int, cap: int | None = None,
 # ---------------------------------------------------------------------------
 # Identity verifiers
 
-def _descent_classes(n: int) -> list[tuple]:
-    """One walk of the n! windows in lex order, grouped by descent class
-    (``_descent_mask``): (first window, class size) per class, in order of
-    first appearance.  Every subset of {1..n-1} is a descent set, so there
-    are 2^(n-1) classes."""
-    classes: dict[int, list] = {}
+def _descent_classes(n: int, key=_descent_mask) -> list[tuple]:
+    """One walk of the n! windows in lex order, grouped by ``key`` of the
+    window, by default its descent set (``_descent_mask``): (first window,
+    class size) per class, in order of first appearance.  Every subset of
+    {1..n-1} is a descent set, so there are 2^(n-1) descent classes."""
+    classes: dict = {}
     for window in _windows(n):
-        seen = classes.setdefault(_descent_mask(window), [window, 0])
+        seen = classes.setdefault(key(window), [window, 0])
         seen[1] += 1
     return [tuple(seen) for seen in classes.values()]
 
@@ -395,14 +395,12 @@ def verify_symmetry(alpha: int, n: int, cap: int | None = None) -> Verification:
     order."""
     _admit(alpha, n, 0, cap)
     target = alpha * (n - 1)
-    pairs: dict[tuple, tuple] = {}
-    for window in _windows(n):
-        partner_window = _reversed_window(window)
-        pairs.setdefault((_descent_mask(window), _descent_mask(partner_window)),
-                         (window, partner_window))
+    classes = _descent_classes(
+        n, lambda w: (_descent_mask(w), _descent_mask(_reversed_window(w))))
+    pairs = [(window, _reversed_window(window)) for window, _ in classes]
     for colors in _colorings(alpha, n, 0):
         partner = _reversed_colors(alpha, colors)
-        for window, partner_window in pairs.values():
+        for window, partner_window in pairs:
             if _flag(alpha, window, colors) + _flag(alpha, partner_window, partner) != target:
                 return Verification(False, f"flag(w) + flag(r(w)) != {target}",
                                     ColoredPermutation._trusted(alpha, window, colors))

@@ -7,13 +7,13 @@ if a leading coefficient were zero.
 
 Real-rootedness is decided exactly, in one sequence.  The real root x = 0
 is divided out first, and the rest q is read as it is, with every (1 + x)
-factor it holds.  Newton's inequalities (Hardy, Littlewood and Pólya,
-*Inequalities*, §2.22) hold for every real-rooted polynomial, so a
-coefficient of q that breaks one proves False.
-(1) A palindromic q is first read at its middle coefficient alone: one
-    Newton inequality, O(1).  Of the flag rows with 3 <= alpha <= 7 and
-    n <= 30, it rejects every one past n = 1 but the (3, 3) rows of the
-    quotient and of last color 2.
+factor it holds.
+(1) q is read at its middle coefficient alone: one of Newton's
+    inequalities (Hardy, Littlewood and Pólya, *Inequalities*, §2.22),
+    which hold for every real-rooted polynomial, so a break proves False
+    in O(1).  Of the flag rows with 3 <= alpha <= 7 and n <= 30, it
+    rejects every one past n = 1 but the (3, 3) rows of the quotient and
+    of last color 2.
 (2) A palindromic q is (1 + x)^j r with r(x) = x^m g(x + 1/x), g of half
     the degree of r (Petersen, *Eulerian Numbers*, ch. 4).  One packed
     Clenshaw sum over q gives P(z) = g(-2 - z), each (1 + x)^2 = -x z
@@ -27,12 +27,9 @@ coefficient of q that breaks one proves False.
     round adds the midpoints of neighbouring points.  Eulerian
     polynomials have simple negative roots (Frobenius; Brändén,
     "Unimodality, log-concavity, real-rootedness and beyond", 2015), so
-    the alpha <= 2 flag rows find such points, and they never take the
-    later steps.
-(3) Newton's inequalities for every k: a palindrome only up to the
-    middle, since its inequalities come in equal pairs.  Any other q
-    starts here.
-(4) Otherwise q's own square-free chain, read at -inf and +inf, decides
+    the alpha <= 2 flag rows find such points, and they never reach the
+    chain.
+(3) Otherwise q's own square-free chain, read at -inf and +inf, decides
     (Sturm's theorem): the chain of q / gcd(q, q') has the roots of q as
     a set, as many as its degree, so q is real-rooted iff the chain
     counts that many distinct real roots.  A repeated root, -1 included,
@@ -244,16 +241,6 @@ def _newton_breaks(c: list[int], k: int) -> bool:
     return c[k] * c[k] * k * (d - k) < c[k - 1] * c[k + 1] * (k + 1) * (d - k + 1)
 
 
-def _newton_fails(c: list[int]) -> bool:
-    """True iff some 1 <= k <= d - 1 breaks Newton's inequality
-    (``_newton_breaks``) for the trimmed c of degree d.  On a palindrome
-    the inequalities at k and d - k are one inequality, so k <= d / 2 is
-    read."""
-    d = len(c) - 1
-    last = d // 2 if c == c[::-1] else d - 1
-    return any(_newton_breaks(c, k) for k in range(1, last + 1))
-
-
 #: Rounds of midpoint refinement before the certificate search gives up.
 _REFINEMENTS = 4
 
@@ -373,8 +360,8 @@ def is_real_rooted(p: IntPolynomial) -> bool:
     Stripping the low-order zeros, the root x = 0, keeps the verdict.
     The x^k-free rest q of degree d then takes one sequence, and the first
     step that settles the verdict gives it:
-    (1) a palindromic q breaks Newton's inequality at its middle index
-        k = floor(d / 2) (``_newton_breaks``, O(1)): False.
+    (1) q breaks Newton's inequality at its middle index k = floor(d / 2)
+        (``_newton_breaks``, O(1)): False.
     (2) q is palindromic, so q = (1 + x)^j r with r of even degree 2m and
         r(x) = x^m g(x + 1/x); each root y of g gives the two roots of
         x^2 - y x + 1, both real and distinct iff y is real with |y| > 2.
@@ -386,28 +373,20 @@ def is_real_rooted(p: IntPolynomial) -> bool:
         Newton-polygon seeds and whose later rounds add midpoints, looks
         for them), g has m distinct roots below -2, each giving two
         distinct negative roots of r, so every root of q is real: True.
-    (3) q breaks any of Newton's inequalities (``_newton_fails``, once, on
-        q as it is): False.
-    (4) otherwise q's own square-free chain, read at -inf and +inf,
+    (3) otherwise q's own square-free chain, read at -inf and +inf,
         decides.  Its degree is the number of distinct roots of q,
         repeated roots, -1 and roots on the unit circle included, and the
         division by gcd(q, q') flips every sign at -inf or +inf together,
-        so the count of real roots is unchanged.
-    A real-rooted palindrome keeps every Newton inequality, so it goes
-    from (1) to the certificate; a rest that is not palindromic starts
-    at (3)."""
+        so the count of real roots is unchanged."""
     c = _nonzero_coefficients(p)
     k = 0
     while c[k] == 0:
         k += 1
     q = c[k:] if k else c
-    if q == q[::-1]:
-        if len(q) > 2 and _newton_breaks(q, (len(q) - 1) // 2):
-            return False
-        if _sign_change_points(_palindromic_reduction(q)) is not None:
-            return True
-    if _newton_fails(q):
+    if len(q) > 2 and _newton_breaks(q, (len(q) - 1) // 2):
         return False
+    if q == q[::-1] and _sign_change_points(_palindromic_reduction(q)) is not None:
+        return True
     chain = _square_free_chain(q)
     real = (_sign_variations(chain, NEG_INF)
             - _sign_variations(chain, POS_INF))

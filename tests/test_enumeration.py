@@ -679,7 +679,9 @@ class TestKernels:
         # The verifiers walk the n! windows once and then check one window
         # per (descent class, coloring): 2^(n-1) classes, each checked at its
         # first window, and a kernel that reads only the colors once per
-        # coloring.  Involution checks each half on its own factor.
+        # coloring.  Symmetry reverses each window for its class key and
+        # each class's first window once more for its partner.  Involution
+        # checks each half on its own factor.
         calls = dict.fromkeys(("_flag", "_descents", "_reversed_window",
                                "_reversed_colors"), 0)
         for name in calls:
@@ -692,7 +694,7 @@ class TestKernels:
             windows, colorings = math.factorial(n), alpha ** (n - 1)
             checks = 2 ** (n - 1) * colorings
             for verify, expected in [
-                    (verify_symmetry, (2 * checks, 0, windows, colorings)),
+                    (verify_symmetry, (2 * checks, 0, windows + 2 ** (n - 1), colorings)),
                     (verify_involution, (0, 0, 2 * windows, 2 * colorings)),
                     (verify_coset_invariance, (0, alpha * checks, 0, 0))]:
                 calls.update(dict.fromkeys(calls, 0))
@@ -724,6 +726,24 @@ class TestKernels:
         for alpha in range(1, 4):
             for n in range(1, 6):
                 assert verify(alpha, n) == element_walk(verify, alpha, n), (alpha, n)
+
+    def test_descent_classes_group_the_windows_by_their_key(self):
+        # By D(w), and by the pair (D(w), D(r(w))) that the symmetry
+        # verifier reads, the n! windows fall into 2^(n-1) classes, each
+        # named by its first window in lex order and counting its windows.
+        def pair(window):
+            return (enumeration._descent_mask(window),
+                    enumeration._descent_mask(window[::-1]))
+
+        for n in range(1, 7):
+            for key, classes in [
+                    (enumeration._descent_mask, enumeration._descent_classes(n)),
+                    (pair, enumeration._descent_classes(n, pair))]:
+                groups = {}
+                for window in itertools.permutations(range(1, n + 1)):
+                    groups.setdefault(key(window), []).append(window)
+                assert classes == [(group[0], len(group)) for group in groups.values()]
+                assert len(classes) == 2 ** (n - 1)
 
     def test_kernels_read_the_window_through_its_descent_set(self):
         # The class checks rest on flag and the colored descent count

@@ -310,12 +310,29 @@ class TestRealRootedness:
         assert not is_real_rooted(p * IntPolynomial((k, 0, 1)))
 
 
+#: The Sturm chain, kept before any test wraps it.
+SQUARE_FREE_CHAIN = poly._square_free_chain
+
+
+def record_chains(monkeypatch):
+    """Records the rest that each Sturm chain reads, in a list it returns."""
+    chains = []
+
+    def record(c):
+        chains.append(list(c))
+        return SQUARE_FREE_CHAIN(c)
+
+    monkeypatch.setattr(poly, "_square_free_chain", record)
+    return chains
+
+
 def chain_only(monkeypatch):
-    """Switches off both fast routes of is_real_rooted, Newton's
-    inequalities and the sign-change certificate, so the Sturm chain of
-    the rest decides every verdict."""
-    monkeypatch.setattr(poly, "_newton_fails", lambda c: False)
+    """Switches off both fast routes of is_real_rooted, Newton's middle
+    inequality and the sign-change certificate, so the Sturm chain of the
+    rest decides every verdict.  Returns the rests that reach the chain."""
+    monkeypatch.setattr(poly, "_newton_breaks", lambda c, k: False)
     monkeypatch.setattr(poly, "_sign_change_points", lambda p: None)
+    return record_chains(monkeypatch)
 
 
 #: Inputs with a palindromic rest, some with roots on the unit circle.
@@ -439,8 +456,10 @@ class TestReductions:
             self, monkeypatch, coeffs, expected):
         # The chain of the square-free rest sees the double root x = 1 of
         # (1 - x)^4 and the double pair on the unit circle.
-        chain_only(monkeypatch)
-        assert is_real_rooted(IntPolynomial(coeffs)) == expected
+        chains = chain_only(monkeypatch)
+        p = IntPolynomial(coeffs)
+        assert is_real_rooted(p) == expected
+        assert chains == [x_free_rest(p)]
 
     @pytest.mark.parametrize("coeffs,expected", [
         ((-1, 0, 1), True),            # (x - 1)(x + 1): rest x - 1
@@ -545,16 +564,21 @@ def x_free_rest(p):
 
 
 def middle_breaks(q):
-    """Whether the palindromic rest q of degree d breaks Newton's
-    inequality at k = floor(d / 2), written out here."""
+    """Whether the rest q of degree d breaks Newton's inequality at
+    k = floor(d / 2), written out here."""
     d = len(q) - 1
     k = d // 2
     return d > 1 and (q[k] * q[k] * k * (d - k)
                       < q[k - 1] * q[k + 1] * (k + 1) * (d - k + 1))
 
 
-#: The full Newton pass, kept before any test wraps it.
-NEWTON_FAILS = poly._newton_fails
+def newton_fails(q):
+    """Whether the rest q of degree d breaks Newton's inequality at some
+    1 <= k <= d - 1, written out here."""
+    d = len(q) - 1
+    return any(q[k] * q[k] * k * (d - k)
+               < q[k - 1] * q[k + 1] * (k + 1) * (d - k + 1)
+               for k in range(1, d))
 
 
 def numerators(points):
@@ -603,33 +627,28 @@ def repeated_roots(rng):
 
 
 class TestRoutes:
-    """Which route decides is_real_rooted: on a palindromic rest, Newton's
-    middle inequality rejects, then a sign-change certificate, read in the
-    frame z = -2 - (x + 1/x), accepts; then Newton's full pass rejects, and
-    the Sturm chain runs only when none of these settles the verdict.
-    Every certificate is re-checked with Fraction arithmetic that shares
-    no code with poly."""
+    """Which route decides is_real_rooted: Newton's middle inequality on
+    the rest rejects, then, on a palindromic rest, a sign-change
+    certificate, read in the frame z = -2 - (x + 1/x), accepts, and the
+    Sturm chain runs only when neither settles the verdict.  Every
+    certificate is re-checked with Fraction arithmetic that shares no code
+    with poly."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
-        """Refuses the Sturm chain; records every Newton verdict and every
-        certificate search as (P, points)."""
-        seen = {"newton": [], "certificates": []}
-        newton, search = poly._newton_fails, poly._sign_change_points
+        """Refuses the Sturm chain; records every certificate search as
+        (P, points)."""
+        seen = {"certificates": []}
+        search = poly._sign_change_points
 
         def refuse(c):
             raise AssertionError("Sturm chain built")
-
-        def record_newton(c):
-            seen["newton"].append(newton(c))
-            return seen["newton"][-1]
 
         def record_search(P):
             seen["certificates"].append((P, search(P)))
             return seen["certificates"][-1][1]
 
         monkeypatch.setattr(poly, "_square_free_chain", refuse)
-        monkeypatch.setattr(poly, "_newton_fails", record_newton)
         monkeypatch.setattr(poly, "_sign_change_points", record_search)
         return seen
 
@@ -646,36 +665,36 @@ class TestRoutes:
             check_certificate(p, P, points)
             # At most one round of midpoints refines the seeds.
             assert set(numerators(points)) <= set(refined(seeds(P, points)))
-        # A certified row never takes Newton's full pass.
-        assert routes["newton"] == []
 
     def test_newton_rejects_no_alpha_one_or_two_row(self, routes):
         # Real-rooted rows keep every Newton inequality, by the theorem.
         rows = flag_rows(1, 60) + flag_rows(2, 100)
-        assert not any(NEWTON_FAILS(x_free_rest(p)) for p in rows)
-        # Each is certified, with no full pass and no chain.
+        assert not any(newton_fails(x_free_rest(p)) for p in rows)
+        # Each is certified, with no chain.
         for p in rows:
             assert is_real_rooted(p)
-        assert routes["newton"] == []
         assert len(routes["certificates"]) == 160
         assert None not in [points for _, points in routes["certificates"]]
 
     @pytest.mark.parametrize("alpha", range(3, 8))
     def test_newton_rejects_every_row_past_one_above_alpha_two(
-            self, routes, alpha):
+            self, routes, monkeypatch, alpha):
         # Past n = 1 on the quotient and on last color alpha - 1, and from
         # n = 1 on the full group, whose n = 1 row is [alpha]_x.
         rows = (flag_rows(alpha, 30)[1:] + flag_rows(alpha, 30, None)
                 + flag_rows(alpha, 30, alpha - 1)[1:])
         assert len(rows) == 88
-        assert all(NEWTON_FAILS(x_free_rest(p)) for p in rows)
-        # With no chain: the middle inequality rejects all but the (3, 3)
-        # pair, whose searches find no points and whose full pass rejects.
+        assert all(newton_fails(x_free_rest(p)) for p in rows)
+        # The middle inequality rejects all but the (3, 3) pair, whose
+        # searches find no points; those two rows, and only those, reach
+        # the chain, which rejects them.
+        chains = record_chains(monkeypatch)
         for p in rows:
             assert not is_real_rooted(p)
-        pair = 2 if alpha == 3 else 0
-        assert routes["newton"] == [True] * pair
-        assert [points for _, points in routes["certificates"]] == [None] * pair
+        pair = ([x_free_rest(flag_rows(3, 30, beta)[2]) for beta in (0, 2)]
+                if alpha == 3 else [])
+        assert chains == pair
+        assert [points for _, points in routes["certificates"]] == [None] * len(pair)
 
     @pytest.mark.parametrize("alpha", range(3, 8))
     def test_the_middle_inequality_rejects_all_but_the_three_three_pair(
@@ -758,26 +777,22 @@ class TestRoutes:
         rows = [p for alpha in range(1, 6)
                 for p in enumeration._rows(alpha, 30, "descent", beta, 10 ** 60)]
         assert len(rows) == 150
-        assert not any(NEWTON_FAILS(x_free_rest(p)) for p in rows)
-        # Newton's full pass reads each rest at most once, as it is, and
-        # never a certified one.
-        search, newton, found = poly._sign_change_points, [], []
-
-        def record_newton(c):
-            newton.append(list(c))
-            return NEWTON_FAILS(c)
+        assert not any(newton_fails(x_free_rest(p)) for p in rows)
+        # The chain reads each rest at most once, as it is, and never a
+        # certified one.
+        search, found = poly._sign_change_points, []
 
         def record_search(P):
             found.append(search(P))
             return found[-1]
 
-        monkeypatch.setattr(poly, "_newton_fails", record_newton)
+        chains = record_chains(monkeypatch)
         monkeypatch.setattr(poly, "_sign_change_points", record_search)
         for p in rows:
-            del newton[:], found[:]
+            del chains[:], found[:]
             assert is_real_rooted(p)
             certified = found != [] and found[-1] is not None
-            assert newton == ([] if certified else [x_free_rest(p)])
+            assert chains == ([] if certified else [x_free_rest(p)])
 
     def test_certificate_reaches_the_quotient_rows_101_to_150(self, routes):
         for p in flag_rows(2, 150)[100:]:
@@ -786,53 +801,60 @@ class TestRoutes:
         for P, points in routes["certificates"][::10]:
             check_points(P, points)
 
-    @given(st.one_of(palindromes(12, 8),
-                     st.lists(st.integers(-50, 50), min_size=1, max_size=25)))
-    def test_newton_reads_half_a_palindrome(self, c):
-        # The inequalities at k and d - k of a palindrome are one.
-        c = poly._trim(c)
-        d = len(c) - 1
-        full = any(c[k] * c[k] * k * (d - k)
-                   < c[k - 1] * c[k + 1] * (k + 1) * (d - k + 1)
-                   for k in range(1, d))
-        assert c == [] or poly._newton_fails(c) == full
-
     @given(st.one_of(palindromes(8, 16),
                      st.lists(st.integers(-50, 50), min_size=1, max_size=12)),
            st.integers(0, 5), st.integers(0, 3))
-    def test_newton_reads_the_x_free_rest_once(self, r, j, k):
-        # On x^k (1 + x)^j r, palindromic or not, Newton's inequalities are
-        # read once, on the x^k-free rest as it is: no (1 + x) divided out.
+    def test_the_chain_reads_the_x_free_rest_as_it_is(self, r, j, k):
+        # On x^k (1 + x)^j r, palindromic or not, the chain runs once, on
+        # the x^k-free rest as it is, no (1 + x) divided out, exactly when
+        # neither the middle inequality nor a certificate settles it.
         r[0], r[-1] = r[0] or 1, r[-1] or 1
         p = IntPolynomial((0,) * k + tuple(r)) * binomial_power(j)
-        newton = poly._newton_fails
-        calls = []
-
-        def record(c):
-            calls.append(list(c))
-            return newton(c)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(poly, "_newton_fails", record)
+            calls = record_chains(patch)
             verdict = is_real_rooted(p)
-        # A palindromic rest that its middle inequality or a certificate
-        # settles never takes the full pass.
         rest = list(p.coefficients[k:])
-        settled = rest == rest[::-1] and (
-            middle_breaks(rest)
-            or poly._sign_change_points(poly._palindromic_reduction(rest)) is not None)
+        settled = middle_breaks(rest) or rest == rest[::-1] and (
+            poly._sign_change_points(poly._palindromic_reduction(rest)) is not None)
         assert calls == ([] if settled else [rest])
         assert verdict == chain_verdict(p)
 
+    @given(st.lists(st.integers(-50, 50), min_size=3, max_size=12))
+    def test_newton_is_read_once_at_the_middle_of_any_rest(self, c):
+        # Palindromic or not, the rest is read at its middle inequality
+        # alone, and one that breaks it is rejected there, with no
+        # reduction and no chain.
+        c[0], c[-1] = c[0] or 1, c[-1] or 1
+        p = IntPolynomial(tuple(c))
+        breaks, reads = poly._newton_breaks, []
+
+        def record(q, k):
+            reads.append((list(q), k))
+            return breaks(q, k)
+
+        def refuse(*args):
+            raise AssertionError("read past the middle inequality")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(poly, "_newton_breaks", record)
+            if middle_breaks(c):
+                for name in ("_palindromic_reduction", "_square_free_chain"):
+                    patch.setattr(poly, name, refuse)
+            verdict = is_real_rooted(p)
+        assert reads == [(c, (len(c) - 1) // 2)]
+        assert verdict == chain_verdict(p)
+
     def test_newton_inequalities_by_hand(self):
-        assert not poly._newton_fails([1, 4, 1])      # real roots
-        assert poly._newton_fails([1, 1, 1])          # 1 * 1 * 1 < 1 * 1 * 2 * 2
-        assert not poly._newton_fails([1, 2, 1])      # (1 + x)^2, equality
+        assert not poly._newton_breaks([1, 4, 1], 1)    # real roots
+        assert poly._newton_breaks([1, 1, 1], 1)        # 1 * 1 * 1 < 1 * 1 * 2 * 2
+        assert not poly._newton_breaks([1, 2, 1], 1)    # (1 + x)^2, equality
         # x^3 - x: zero and mixed-sign coefficients keep every inequality.
-        assert not poly._newton_fails([0, -1, 0, 1])
-        # Constants and linear polynomials have no inequality to break.
-        assert not poly._newton_fails([5])
-        assert not poly._newton_fails([2, -7])
+        assert not any(poly._newton_breaks([0, -1, 0, 1], k) for k in (1, 2))
+        # 1 + 4x^2 + x^4 keeps its middle inequality, 16 * 2 * 2 >= 0, and
+        # breaks k = 1 and 3, 0 < 1 * 4 * 2 * 4: the chain rejects it.
+        c = [1, 0, 4, 0, 1]
+        assert [poly._newton_breaks(c, k) for k in (1, 2, 3)] == [True, False, True]
+        assert not is_real_rooted(IntPolynomial(tuple(c)))
 
     # The ids keep the names these cases had when they were written in y.
     @pytest.mark.parametrize("P", [
@@ -870,8 +892,9 @@ class TestRoutes:
         rows = flag_rows(alpha, 40)
         theorem = [alpha <= 2 or n == 1 for n in range(1, 41)]
         assert [is_real_rooted(p) for p in rows] == theorem
-        chain_only(monkeypatch)
+        chains = chain_only(monkeypatch)
         assert [is_real_rooted(p) for p in rows[:20]] == theorem[:20]
+        assert chains == [x_free_rest(p) for p in rows[:20]]
 
     @pytest.mark.parametrize("alpha,n_max", [
         (1, 40), (2, 40), (3, 20), (4, 20), (5, 20), (6, 20), (7, 20)])
