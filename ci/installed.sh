@@ -53,6 +53,31 @@ count() {
 python -c "import sys, wreath_eulerian.cli
 loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]
 assert not loaded, f'importing wreath_eulerian.cli loaded {loaded}'"
+# The csv format joins each row's fields with commas and quotes none, so
+# its bytes are pinned here: the flag table to n = 3 and the alpha-3
+# report to n = 3.
+"${cli[@]}" table --alpha 2 --max-n 3 --format csv > got.csv
+cat > want.csv <<'CSV'
+n,k,count
+1,0,1
+2,0,1
+2,1,2
+2,2,1
+3,0,1
+3,1,6
+3,2,10
+3,3,6
+3,4,1
+CSV
+cmp want.csv got.csv
+"${cli[@]}" report --alpha 3 --max-n 3 --format csv > got.csv
+cat > want.csv <<'CSV'
+alpha,n,degree,cardinality,palindromic,unimodal,real_rooted
+3,1,0,1,true,true,true
+3,2,3,6,true,true,false
+3,3,6,54,true,true,false
+CSV
+cmp want.csv got.csv
 "${cli[@]}" report --alpha 2 --max-n 40 --cap 448554170605606071010162734597677682499076317249536000000000
 # A large sweep from one pass: ABR to n = 60, capped at 2^60 * 60!.
 "${cli[@]}" verify abr-identity --max-n 60 --cap 9593444981835986954891939947669322185182489942608389896364094195294295395488811817369600000000000000 > abr.txt

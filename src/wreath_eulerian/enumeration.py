@@ -40,9 +40,9 @@ Three computation routes coexist on purpose:
 Both routes name a domain by ``beta``: last color beta (0 is the quotient),
 or ``None`` for the full group.  ``_admit`` owns the domain rule: check
 alpha, n and beta, and refuse a domain larger than the cap.  A domain is
-the product of two factors, ``_windows`` and ``_colorings``: ``_tuples`` is
-their lexicographic (window, colors) product under every stream, and the
-verifiers walk the same two factors.
+the product of two factors, ``_windows`` and ``_colorings``: ``_elements``
+walks their lexicographic (window, colors) product under every stream, and
+the verifiers walk the same two factors.
 
 One pass serves a whole sweep over n, since after n entries its states hold
 row n: the table and the identity verifiers read every row from it, refused
@@ -65,7 +65,7 @@ from .core import (ColoredPermutation, ValidationError, _Record, _canonical_colo
 from .poly import IntPolynomial, binomial_power, is_palindromic, is_real_rooted, is_unimodal
 from .stats import _descent_mask, _descents, _flag, _reversed_colors, _reversed_window
 # Not called here; kept for callers that wrap or read them.
-from .stats import _reversal, colored_descent_count, flag_descent, reversal_map
+from .stats import colored_descent_count, flag_descent, reversal_map
 
 DEFAULT_CAP = 10**9
 
@@ -188,20 +188,16 @@ def _colorings(alpha: int, n: int, beta: int | None) -> Iterator[tuple]:
     return itertools.product(*[range(alpha)] * (n - 1), lasts)
 
 
-def _tuples(alpha: int, n: int, beta: int | None, cap: int | None) -> Iterator[tuple]:
-    """Raw (window, colors) of the domain, in lex order; admission runs on the call."""
-    _admit(alpha, n, beta, cap)
-    return ((window, colors)
-            for window in _windows(n) for colors in _colorings(alpha, n, beta))
-
-
 def _elements(alpha: int, n: int, beta: int | None,
               cap: int | None) -> Iterator[ColoredPermutation]:
-    """The domain's elements, built from ``_tuples`` without revalidation;
-    admission runs on the first ``next()``."""
+    """The domain's elements, in lex order of (window, colors): the product
+    of ``_windows`` and ``_colorings``, built without revalidation.
+    Admission runs on the first ``next()``."""
+    _admit(alpha, n, beta, cap)
     make = ColoredPermutation._trusted
-    for window, colors in _tuples(alpha, n, beta, cap):
-        yield make(alpha, window, colors)
+    for window in _windows(n):
+        for colors in _colorings(alpha, n, beta):
+            yield make(alpha, window, colors)
 
 
 def iterate_fixed_last_color(alpha: int, n: int, beta: int,
@@ -481,9 +477,11 @@ def verify_coset_invariance(alpha: int, n: int, cap: int | None = None) -> Verif
     to the distribution.  A failed class check names the class's first
     window, the first failing element in (colors, window) order; a failed
     color check names the coloring's first element, the identity window.
-    A coloring's shifts are held only while it is checked, so memory is
-    O(2^n * n + alpha * n), never O(elements)."""
+    The polynomial is built before the walk, and a coloring's shifts are
+    held only while it is checked, so the build never holds them and memory
+    is O(2^n * n + alpha * n), never O(elements)."""
     _admit(alpha, n, None, cap)
+    expected = colored_eulerian(alpha, n, cap=cap).polynomial
     classes = _descent_classes(n)
     identity = tuple(range(1, n + 1))
     coeffs = [0] * n
@@ -505,7 +503,6 @@ def verify_coset_invariance(alpha: int, n: int, cap: int | None = None) -> Verif
                 return Verification(False, "descent count varies within a coset",
                                     ColoredPermutation._trusted(alpha, window, colors))
             coeffs[count] += size
-    expected = colored_eulerian(alpha, n, cap=cap).polynomial
     if tuple(coeffs) != expected.coefficients:
         return Verification(
             False, "descent distribution over representatives differs from "

@@ -100,23 +100,21 @@ def _reversed_colors(alpha: int, colors: tuple) -> tuple:
     return _canonical_colors(alpha, colors[::-1])
 
 
-def _reversal(alpha: int, window: tuple, colors: tuple) -> tuple[tuple, tuple]:
-    """The reversal map's image: each half from its own kernel."""
-    return _reversed_window(window), _reversed_colors(alpha, colors)
-
-
 def reversal_map(w: ColoredPermutation) -> ColoredPermutation:
     """Reverse the window and shift all colors by -c_1, landing back in the
     last-color-0 set.  An involution pairing each representative with a
     partner of complementary flag statistic (the two flags sum to
-    alpha*(n-1)).
+    alpha*(n-1)).  Each half of the image comes from its own kernel,
+    ``_reversed_window`` and ``_reversed_colors``, which the verifiers call
+    on raw fields.
 
     Only defined on quotient representatives; other inputs are rejected
     rather than silently canonicalized.
     """
     if not w.is_quotient_rep():
         raise ValidationError(f"reversal map needs last color 0, got {w}")
-    return ColoredPermutation._trusted(w.alpha, *_reversal(w.alpha, w.window, w.colors))
+    return ColoredPermutation._trusted(
+        w.alpha, _reversed_window(w.window), _reversed_colors(w.alpha, w.colors))
 
 
 def delete_equal_color_descent(w: ColoredPermutation, i: int) -> ColoredPermutation:

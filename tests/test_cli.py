@@ -327,7 +327,7 @@ class TestStartup:
     def test_import_loads_no_heavy_modules(self, tmp_path):
         """Every run imports the CLI, so what that import pulls in is paid
         by every process.  -S keeps site's own imports out of the count."""
-        heavy = ("dataclasses", "inspect", "typing", "fractions", "decimal")
+        heavy = ("dataclasses", "inspect", "typing", "fractions", "decimal", "csv")
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src)

@@ -606,6 +606,9 @@ class TestVerifiers:
     def test_coset_verifier_memory_grows_like_alpha_n(self):
         # One coloring's alpha - 1 shifts are held at a time: at (300, 2)
         # all 300 colorings' shifts would be about 90,000 tuples, some 7 MB.
+        # At (10^5, 1) the quotient polynomial is built before the walk, so
+        # its build and the shifts are never held together, and the peak
+        # stays within 1.5 times that of alpha * n one-tuples.
         def peak(run):
             tracemalloc.start()
             try:
@@ -614,9 +617,10 @@ class TestVerifiers:
             finally:
                 tracemalloc.stop()
 
-        builder = peak(lambda: colored_eulerian(10**5, 1))
-        verifier = peak(lambda: verify_coset_invariance(10**5, 1).ok)
-        assert verifier <= 3 * builder, f"peak {verifier} bytes against {builder}"
+        alpha, n = 10**5, 1
+        yardstick = peak(lambda: [(i,) for i in range(alpha * n)])
+        verifier = peak(lambda: verify_coset_invariance(alpha, n).ok)
+        assert verifier <= 1.5 * yardstick, f"peak {verifier} bytes against {yardstick}"
         verifier = peak(lambda: verify_coset_invariance(300, 2).ok)
         assert verifier < 2**20, f"peak {verifier} bytes"
 
@@ -669,9 +673,7 @@ class TestKernels:
                     w.canonical_rep().colors
                 if w.is_quotient_rep():
                     r = reversal_map(w)
-                    assert enumeration._reversal(alpha, window, colors) == \
-                        (r.window, r.colors)
-                    assert enumeration._reversal(alpha, window, colors) == \
+                    assert (r.window, r.colors) == \
                         (enumeration._reversed_window(window),
                          enumeration._reversed_colors(alpha, colors))
 
@@ -868,13 +870,14 @@ class TestClosedForms:
     @given(alpha=st.integers(1, 6), n=st.integers(1, 6), data=st.data())
     def test_flag_lemma_pointwise(self, alpha, n, data):
         """flag(w) = c_n + alpha * cdes(w) - sum_i ((c_{i+1} - c_i) mod alpha)
-        on the raw tuples of the walk, over the full group and every last
-        color."""
+        on the fields of the walk's elements, over the full group and every
+        last color."""
         beta = data.draw(st.none() | st.integers(0, alpha - 1), label="beta")
         size = (full_cardinality if beta is None else quotient_cardinality)(alpha, n)
         start = data.draw(st.integers(0, size - 1), label="start")
-        walk = enumeration._tuples(alpha, n, beta, size)
-        for window, colors in itertools.islice(walk, start, start + 100):
+        walk = enumeration._elements(alpha, n, beta, size)
+        for w in itertools.islice(walk, start, start + 100):
+            window, colors = w.window, w.colors
             winding = sum((b - a) % alpha for a, b in zip(colors, colors[1:]))
             assert enumeration._flag(alpha, window, colors) == \
                 colors[-1] + alpha * enumeration._descents(window, colors) - winding

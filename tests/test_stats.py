@@ -10,6 +10,7 @@ from wreath_eulerian import (
     delete_equal_color_descent,
     flag_descent,
     identity,
+    iterate_fixed_last_color,
     iterate_full_group,
     iterate_quotient_reps,
     parse,
@@ -93,11 +94,23 @@ class TestReversalMap:
         for w in iterate_quotient_reps(3, 3):
             assert reversal_map(reversal_map(w)) == w
 
-    @pytest.mark.parametrize("alpha,n", [(1, 5), (2, 4), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("alpha,n", [(alpha, n) for alpha in range(1, 6)
+                                         for n in range(1, 6 if alpha < 4 else 5)])
     def test_flag_symmetry_small(self, alpha, n):
-        target = alpha * (n - 1)
-        for w in iterate_quotient_reps(alpha, n):
-            assert flag_descent(w) + flag_descent(reversal_map(w)) == target
+        # The paper's symmetry at every fixed last color beta: r_beta
+        # reverses the window, then reverses the colors and shifts them by
+        # beta - c_1, so it keeps last color beta, and flag(w) +
+        # flag(r_beta(w)) = alpha*(n-1) + 2*beta.  r_0 is the reversal map.
+        for beta in range(alpha):
+            target = alpha * (n - 1) + 2 * beta
+            for w in iterate_fixed_last_color(alpha, n, beta):
+                shift = beta - w.colors[0]
+                r = validate(alpha, w.window[::-1],
+                             [(c + shift) % alpha for c in w.colors[::-1]])
+                assert r.colors[-1] == beta
+                assert flag_descent(w) + flag_descent(r) == target
+                if beta == 0:
+                    assert r == reversal_map(w)
 
 
 class TestDeletion:
@@ -194,6 +207,13 @@ class TestWindingNumbers:
         return max(visits - 1, 0)
 
     def test_both_directions_match_the_clock_walk(self):
+        # Summed over the marks, each direction reads its sweep: the hand
+        # makes S + 1 visits to consecutive marks, S the total
+        # counterclockwise sweep sum((c_i - c_(i+1)) mod alpha), so it
+        # touches min(alpha, S + 1) marks and the sum of the visits less
+        # one per touched mark is max(S - alpha + 1, 0); clockwise,
+        # the same with W = sum((c_(i+1) - c_i) mod alpha).  S is the sweep
+        # term of flag(w) = c_n + alpha * (#equal-color window descents) + S.
         for alpha in range(1, 6):
             for n in range(1, 6):
                 for colors in itertools.product(range(alpha), repeat=n):
@@ -203,6 +223,13 @@ class TestWindingNumbers:
                             alpha, colors, mark, -1)
                         assert reverse_winding_number(s, mark) == self.clock_walk(
                             alpha, colors, mark, +1)
+                    pairs = list(zip(colors, colors[1:]))
+                    sweep = sum((a - b) % alpha for a, b in pairs)
+                    back = sum((b - a) % alpha for a, b in pairs)
+                    assert sum(winding_number(s, m) for m in range(alpha)) == \
+                        max(sweep - alpha + 1, 0)
+                    assert sum(reverse_winding_number(s, m) for m in range(alpha)) == \
+                        max(back - alpha + 1, 0)
 
     def test_counts_color_ascents(self):
         # W(s, 0) equals the ascent count for no-equal-adjacent sequences
