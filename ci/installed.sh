@@ -48,10 +48,15 @@ count() {
 }
 
 "${cli[@]}" --help
-# Every run imports the CLI, so it must not pull in dataclasses or
-# inspect; tier-1 checks this for src/, here it is the installed copy.
-python -c "import sys, wreath_eulerian.cli
-loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]
+# Every run imports the CLI, so it must not pull in the six modules that
+# tier-1's TestStartup names; tier-1 checks this for src/, here it is the
+# installed copy.  Only what the import adds counts: site may load typing
+# itself, and -S would drop the site-packages that hold the installed copy.
+python -c "import sys
+before = set(sys.modules)
+import wreath_eulerian.cli
+heavy = ('dataclasses', 'inspect', 'typing', 'fractions', 'decimal', 'csv')
+loaded = [m for m in heavy if m in sys.modules and m not in before]
 assert not loaded, f'importing wreath_eulerian.cli loaded {loaded}'"
 # The csv format joins each row's fields with commas and quotes none, so
 # its bytes are pinned here: the flag table to n = 3 and the alpha-3
@@ -155,4 +160,7 @@ expect 2 verify abr-identity --max-n 2 --alpha 7
 expect 2 verify symmetry --alpha 3 --n 5 --max-n 2
 expect 2 verify product-identity --max-k 0
 expect 3 table --alpha 2 --max-n 6 --cap 100
+# The (2, 1500) quotient's 2^1499 * 1500! elements have 4,566 digits, past
+# Python's default int-str limit, and are still refused as over the cap.
+expect 3 poly --alpha 2 --n 1500
 expect 3 verify coset-invariance --alpha 3 --n 5 --cap 9720

@@ -235,6 +235,12 @@ def _run_report(args) -> tuple[str, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Python's limit on int-str conversion guards servers that parse
+    # untrusted text.  The CLI reads only its own argv and environment, and
+    # its domain sizes, caps and coefficients pass 4,300 digits at ordinary
+    # inputs, such as the (2, 1500) quotient.
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+        sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         text, status = args.run(args)

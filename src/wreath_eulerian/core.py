@@ -75,12 +75,21 @@ def _canonical_colors(alpha: int, colors: tuple) -> tuple:
 
 
 class _Record:
-    """Immutable value whose ``__slots__`` name its fields in order.  Its
-    ``__init__`` sets them through the slot descriptors, since assignment
-    is refused.  Equality (same class only), hash, repr, ``match`` and
-    pickling read the fields; unpickling and ``copy`` rerun ``__init__``."""
+    """Immutable value whose ``__slots__`` name its fields in order.
+    ``_Record.__init__`` sets them, in that order, through
+    ``object.__setattr__``, since assignment is refused; a subclass checks
+    its input, if it takes any, and then calls it.  Two paths set the slots
+    directly, as each is paid per call by a workload:
+    ``ColoredPermutation._trusted``, once per element of every stream, and
+    ``IntPolynomial.__init__``, once per polynomial built or analyzed.
+    Equality (same class only), hash, repr, ``match`` and pickling read the
+    fields; unpickling and ``copy`` rerun ``__init__``."""
 
     __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = cls.__slots__
@@ -124,10 +133,8 @@ class ColoredPermutation(_Record):
 
     def __init__(self, alpha: int, window: tuple[int, ...],
                  colors: tuple[int, ...]) -> None:
-        if not isinstance(window, tuple):
-            window = _as_tuple("window", window)
-        if not isinstance(colors, tuple):
-            colors = _as_tuple("colors", colors)
+        window = _as_tuple("window", window)
+        colors = _as_tuple("colors", colors)
         _require_int("alpha", alpha, 1)
         n = len(window)
         if n < 1:
@@ -138,9 +145,7 @@ class ColoredPermutation(_Record):
         _require_permutation("window", window)
         for c in colors:
             _require_color("color", c, alpha)
-        _set_alpha(self, alpha)
-        _set_window(self, window)
-        _set_colors(self, colors)
+        super().__init__(alpha, window, colors)
 
     @classmethod
     def _trusted(cls, alpha: int, window: tuple[int, ...],
@@ -232,8 +237,7 @@ class GenPermMatrix(_Record):
 
     def __init__(self, alpha: int, size: int,
                  entries: tuple[tuple[int, int], ...]) -> None:
-        if not isinstance(entries, tuple):
-            entries = _as_tuple("entries", entries)
+        entries = _as_tuple("entries", entries)
         _require_int("alpha", alpha, 1)
         _require_int("size", size, 1)
         if len(entries) != size:
@@ -245,9 +249,7 @@ class GenPermMatrix(_Record):
         _require_permutation("rows", [r for r, _ in entries])
         for _, e in entries:
             _require_color("exponent", e, alpha)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(alpha, size, entries)
 
     def __mul__(self, other: "GenPermMatrix") -> "GenPermMatrix":
         if self.alpha != other.alpha or self.size != other.size:

@@ -77,10 +77,14 @@ class CapExceededError(RuntimeError):
     """Enumeration refused: the exact element count exceeds the cap."""
 
     def __init__(self, required: int, cap: int):
-        super().__init__(
-            f"enumeration of {required} elements exceeds the cap of {cap}")
+        super().__init__(required, cap)
         self.required = required
         self.cap = cap
+
+    def __str__(self) -> str:
+        # Formatted when read, not when raised: a domain size past the
+        # interpreter's int-to-str digit limit still raises this error.
+        return f"enumeration of {self.required} elements exceeds the cap of {self.cap}"
 
 
 def resolve_cap(cap: int | None) -> int:
@@ -138,11 +142,7 @@ class StatReport(_Record):
 
     def __init__(self, alpha: int, n: int, statistic: str, domain: str,
                  polynomial: IntPolynomial) -> None:
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "statistic", statistic)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "polynomial", polynomial)
+        super().__init__(alpha, n, statistic, domain, polynomial)
 
     @property
     def cardinality(self) -> int:
@@ -168,9 +168,7 @@ class Verification(_Record):
 
     def __init__(self, ok: bool, description: str,
                  counterexample: ColoredPermutation | None = None) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "counterexample", counterexample)
+        super().__init__(ok, description, counterexample)
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +342,10 @@ def classical_eulerian(n: int) -> IntPolynomial:
     _require_int("n", n, 1)
     row = [1]
     for m in range(2, n + 1):
-        new = [0] * m
-        for k in range(m):
-            if k < len(row):
-                new[k] += (k + 1) * row[k]
-            if 0 <= k - 1 < len(row):
-                new[k] += (m - k) * row[k - 1]
-        row = new
+        # Row m - 1 padded with a zero on either side: a = A(m-1, k) and
+        # b = A(m-1, k-1), each 0 off the row.
+        row = [(k + 1) * a + (m - k) * b
+               for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
     return IntPolynomial(tuple(row))
 
 
@@ -412,19 +407,18 @@ def verify_involution(alpha: int, n: int, cap: int | None = None) -> Verificatio
     it is an involution iff each half is: n! window checks and alpha^(n-1)
     color checks.  The first failing element in (colors, window) order is
     the first window that fails under the first coloring, if that coloring
-    holds, and otherwise the first failing coloring's identity window."""
+    holds, and otherwise the first failing coloring's identity window.  So
+    the walk over colorings stops at the first coloring if a window fails,
+    and the failing element's window is the identity exactly when its
+    coloring fails its own check."""
     _admit(alpha, n, 0, cap)
     window = next((window for window in _windows(n)
                    if _reversed_window(_reversed_window(window)) != window), None)
-    colors = next((colors for colors in _colorings(alpha, n, 0)
-                   if _reversed_colors(alpha, _reversed_colors(alpha, colors)) != colors),
-                  None)
-    if window is not None or colors is not None:
-        first = (0,) * n
-        if window is None or colors == first:
+    colors = next((colors for colors in _colorings(alpha, n, 0) if window
+                   or _reversed_colors(alpha, _reversed_colors(alpha, colors)) != colors), None)
+    if colors is not None:
+        if _reversed_colors(alpha, _reversed_colors(alpha, colors)) != colors:
             window = tuple(range(1, n + 1))
-        else:
-            colors = first
         return Verification(False, "r(r(w)) != w",
                             ColoredPermutation._trusted(alpha, window, colors))
     return Verification(

@@ -87,8 +87,6 @@ class IntPolynomial(_Record):
         a, b = self.coefficients, other.coefficients
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x == 0:
-                continue
             for j, y in enumerate(b):
                 out[i + j] += x * y
         return IntPolynomial(tuple(out))
@@ -344,13 +342,10 @@ def real_root_count(p: IntPolynomial, lower=NEG_INF, upper=POS_INF) -> int:
     repeated root."""
     _require_bound("lower", lower)
     _require_bound("upper", upper)
-    c = _nonzero_coefficients(p)
-    if lower is POS_INF or upper is NEG_INF:
-        return 0
-    if lower is not NEG_INF and upper is not POS_INF and lower >= upper:
-        return 0
-    chain = _square_free_chain(c)
-    return _sign_variations(chain, lower) - _sign_variations(chain, upper)
+    chain = _square_free_chain(_nonzero_coefficients(p))
+    # On lower >= upper, sentinels included, the difference is minus the
+    # count in (upper, lower], so it is at most 0.
+    return max(_sign_variations(chain, lower) - _sign_variations(chain, upper), 0)
 
 
 def is_real_rooted(p: IntPolynomial) -> bool:

@@ -26,15 +26,13 @@ class ColorSequence(_Record):
     __slots__ = ("alpha", "colors")
 
     def __init__(self, alpha: int, colors: tuple[int, ...]) -> None:
-        if not isinstance(colors, tuple):
-            colors = _as_tuple("colors", colors)
+        colors = _as_tuple("colors", colors)
         _require_int("alpha", alpha, 1)
         if not colors:
             raise ValidationError("color sequence must be nonempty")
         for c in colors:
             _require_color("color", c, alpha)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "colors", colors)
+        super().__init__(alpha, colors)
 
 
 def colored_descent_set(w: ColoredPermutation) -> frozenset[int]:
@@ -156,7 +154,7 @@ def winding_number(s: ColorSequence, mark: int) -> int:
     c = s.colors
     visits = 1 if c[0] == mark else 0
     for x, y in zip(c, c[1:]):
-        if x != y and 1 <= (x - mark) % a <= (x - y) % a:
+        if 1 <= (x - mark) % a <= (x - y) % a:
             visits += 1
     return max(visits - 1, 0)
 

@@ -6,6 +6,10 @@ checked against the aggregated polynomial builders.
 """
 from __future__ import annotations
 
+import sys
+
+import pytest
+
 from wreath_eulerian import (
     colored_descent_count,
     flag_descent,
@@ -30,3 +34,16 @@ def stream_distribution(alpha: int, n: int, statistic: str,
         counts[k] = counts.get(k, 0) + 1
     degree = max(counts)
     return tuple(counts.get(k, 0) for k in range(degree + 1))
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit of 4,300 digits on int-str conversion for the
+    test, restored after it.  The CLI lifts the limit for its process, so
+    without this an earlier in-process run would hide a conversion past it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)

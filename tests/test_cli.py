@@ -1,11 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from wreath_eulerian import IntPolynomial, enumeration
+from wreath_eulerian import IntPolynomial, StatReport, cli, enumeration
 from wreath_eulerian.cli import main
 
 
@@ -321,6 +322,47 @@ def run_process(cwd, *argv, cap_env=None, stdout=subprocess.PIPE):
     return subprocess.run(
         [sys.executable, "-m", "wreath_eulerian.cli", *argv], stdout=stdout,
         stderr=subprocess.PIPE, text=True, env=env, cwd=cwd, timeout=60)
+
+
+class TestPastTheDigitLimit:
+    """Domain sizes, caps and coefficients longer than the 4,300 digits that
+    Python converts between int and str by default: the CLI lifts that
+    limit for its process."""
+
+    @pytest.mark.parametrize("argv", [("poly",), ("verify", "symmetry")],
+                             ids=["poly", "verify"])
+    def test_cap_refusal(self, capsys, monkeypatch, default_digit_limit, argv):
+        # The (2, 1500) quotient has 2^1499 * 1500! elements, 4,566 digits.
+        monkeypatch.delenv("WREATH_CAP", raising=False)
+        code, out, err = run(capsys, *argv, "--alpha", "2", "--n", "1500")
+        assert (code, out) == (3, "")
+        # main has lifted the limit, so the expected count formats here too.
+        assert err.splitlines() == [f"error: enumeration of "
+                                    f"{2**1499 * math.factorial(1500)} elements "
+                                    f"exceeds the cap of 1000000000"]
+
+    @pytest.mark.parametrize("via", ["--cap", "WREATH_CAP"])
+    def test_long_cap_is_accepted(self, capsys, monkeypatch, default_digit_limit, via):
+        cap = "1" + "0" * 4400
+        argv = ["poly", "--alpha", "2", "--n", "3"]
+        if via == "--cap":
+            argv += ["--cap", cap]
+        else:
+            monkeypatch.setenv("WREATH_CAP", cap)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("coefficients: 1 6 10 6 1\n")
+
+    @pytest.mark.parametrize("fmt,copies", [("text", 2), ("json", 2), ("csv", 1)])
+    def test_long_coefficient_prints(self, capsys, monkeypatch, default_digit_limit,
+                                     fmt, copies):
+        # A one-row report whose coefficient, and so cardinality, is 10^4400.
+        monkeypatch.setattr(cli, "stat_report", lambda *args, **kwargs: StatReport(
+            2, 1, "flag", "quotient", IntPolynomial((10**4400,))))
+        code, out, err = run(capsys, "poly", "--alpha", "2", "--n", "1",
+                             "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out.count("1" + "0" * 4400) == copies
 
 
 class TestStartup:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -260,6 +261,16 @@ class TestPolynomials:
         assert classical_eulerian(3).coefficients == (1, 4, 1)
         assert classical_eulerian(4).coefficients == (1, 11, 11, 1)
 
+    def test_classical_eulerian_by_the_explicit_sum(self):
+        # A(n, k) = sum_(j <= k) (-1)^j C(n + 1, j) (k + 1 - j)^n (Petersen,
+        # *Eulerian Numbers*, ch. 1), a route shared with neither the
+        # triangle nor the transfer-matrix count.
+        for n in range(1, 61):
+            assert classical_eulerian(n).coefficients == tuple(
+                sum((-1) ** j * math.comb(n + 1, j) * (k + 1 - j) ** n
+                    for j in range(k + 1))
+                for k in range(n))
+
     def test_report_invariants(self):
         for alpha, n in [(2, 4), (3, 3), (4, 2)]:
             report = flag_eulerian_quotient(alpha, n)
@@ -444,6 +455,18 @@ class TestSweeps:
                 sweep(cap)
             assert (exc.value.required, exc.value.cap) == (required, cap)
         assert sweep(required)
+
+    def test_refusal_past_the_digit_limit(self, monkeypatch, default_digit_limit):
+        # 2^1499 * 1500! has 4,566 digits, past the default int-str limit,
+        # so the refusal is raised without formatting it.
+        monkeypatch.delenv("WREATH_CAP", raising=False)
+        required = 2**1499 * math.factorial(1500)
+        with pytest.raises(CapExceededError) as exc:
+            flag_table(2, 1500)
+        assert (exc.value.required, exc.value.cap) == (required, enumeration.DEFAULT_CAP)
+        restored = pickle.loads(pickle.dumps(exc.value))
+        assert type(restored) is CapExceededError
+        assert (restored.required, restored.cap) == (required, enumeration.DEFAULT_CAP)
 
 
 def rotate_window(window):

@@ -124,6 +124,20 @@ class TestRecordContract:
         assert positional(value) == tuple(getattr(value, name) for name in fields)
 
 
+def test_checked_constructors_store_plain_tuples():
+    class Row(tuple):
+        pass
+
+    w = ColoredPermutation(2, Row((2, 1)), Row((1, 0)))
+    m = GenPermMatrix(2, 2, Row((Row((2, 1)), Row((1, 0)))))
+    s = ColorSequence(3, Row((0, 2, 1)))
+    assert type(w.window) is tuple and type(w.colors) is tuple
+    assert type(m.entries) is tuple and {type(e) for e in m.entries} == {tuple}
+    assert type(s.colors) is tuple
+    assert (w, m, s) == (ELEMENT, GenPermMatrix(2, 2, ((2, 1), (1, 0))),
+                         ColorSequence(3, (0, 2, 1)))
+
+
 def test_verification_counterexample_defaults_to_none():
     assert Verification(True, "x").counterexample is None
     assert Verification(ok=False, description="y",
