@@ -52,12 +52,19 @@ count() {
 # tier-1's TestStartup names; tier-1 checks this for src/, here it is the
 # installed copy.  Only what the import adds counts: site may load typing
 # itself, and -S would drop the site-packages that hold the installed copy.
+# The installed package exports the sorted union of its modules' __all__.
 python -c "import sys
 before = set(sys.modules)
 import wreath_eulerian.cli
 heavy = ('dataclasses', 'inspect', 'typing', 'fractions', 'decimal', 'csv')
 loaded = [m for m in heavy if m in sys.modules and m not in before]
-assert not loaded, f'importing wreath_eulerian.cli loaded {loaded}'"
+assert not loaded, f'importing wreath_eulerian.cli loaded {loaded}'
+import wreath_eulerian as w
+union = [*w.core.__all__, *w.enumeration.__all__, *w.poly.__all__, *w.stats.__all__]
+assert w.__all__ == sorted(union), 'wreath_eulerian.__all__ differs from the union of the module lists'"
+# A WREATH_CAP of 4,401 digits, past Python's default int-str limit, is read.
+WREATH_CAP=$(printf '1%04400d' 0) "${cli[@]}" poly --alpha 2 --n 3 > long_cap.txt
+count 1 '^coefficients: 1 6 10 6 1$' long_cap.txt
 # The csv format joins each row's fields with commas and quotes none, so
 # its bytes are pinned here: the flag table to n = 3 and the alpha-3
 # report to n = 3.

@@ -1,94 +1,12 @@
 """Descent statistics on colored permutation groups and their
-cyclic-shift quotients, with exact polynomial shape analysis."""
+cyclic-shift quotients, with exact polynomial shape analysis.
 
-from .core import (
-    ColoredPermutation,
-    GenPermMatrix,
-    ValidationError,
-    color_shift_generator,
-    identity,
-    parse,
-    validate,
-)
-from .enumeration import (
-    CapExceededError,
-    StatReport,
-    Verification,
-    classical_eulerian,
-    colored_eulerian,
-    flag_eulerian_full,
-    flag_eulerian_quotient,
-    flag_table,
-    full_cardinality,
-    iterate_fixed_last_color,
-    iterate_full_group,
-    iterate_quotient_reps,
-    quotient_cardinality,
-    stat_report,
-    verify_abr_identity,
-    verify_coset_invariance,
-    verify_involution,
-    verify_product_identity,
-    verify_symmetry,
-)
-from .poly import (
-    IntPolynomial,
-    binomial_power,
-    is_palindromic,
-    is_real_rooted,
-    is_unimodal,
-    real_root_count,
-)
-from .stats import (
-    ColorSequence,
-    colored_descent_count,
-    colored_descent_set,
-    delete_equal_color_descent,
-    flag_descent,
-    reversal_map,
-    reverse_winding_number,
-    winding_number,
-)
+Each module declares its public objects in its own ``__all__``; the
+package re-exports them all."""
 
-__all__ = [
-    "CapExceededError",
-    "ColorSequence",
-    "ColoredPermutation",
-    "GenPermMatrix",
-    "IntPolynomial",
-    "StatReport",
-    "ValidationError",
-    "Verification",
-    "binomial_power",
-    "classical_eulerian",
-    "color_shift_generator",
-    "colored_descent_count",
-    "colored_descent_set",
-    "colored_eulerian",
-    "delete_equal_color_descent",
-    "flag_descent",
-    "flag_eulerian_full",
-    "flag_eulerian_quotient",
-    "flag_table",
-    "full_cardinality",
-    "identity",
-    "is_palindromic",
-    "is_real_rooted",
-    "is_unimodal",
-    "iterate_fixed_last_color",
-    "iterate_full_group",
-    "iterate_quotient_reps",
-    "parse",
-    "quotient_cardinality",
-    "real_root_count",
-    "reversal_map",
-    "reverse_winding_number",
-    "stat_report",
-    "validate",
-    "verify_abr_identity",
-    "verify_coset_invariance",
-    "verify_involution",
-    "verify_product_identity",
-    "verify_symmetry",
-    "winding_number",
-]
+from .core import *
+from .enumeration import *
+from .poly import *
+from .stats import *
+
+__all__ = sorted([*core.__all__, *enumeration.__all__, *poly.__all__, *stats.__all__])

@@ -22,6 +22,9 @@ of the stream verifiers.
 """
 from __future__ import annotations
 
+__all__ = ["ColoredPermutation", "GenPermMatrix", "ValidationError",
+           "color_shift_generator", "identity", "parse", "validate"]
+
 
 class ValidationError(ValueError):
     """Malformed element data or mismatched group parameters."""
@@ -33,16 +36,33 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _shown(value, form=repr) -> str:
+    """``form(value)`` for an error message, kept short: a str is cut at 40
+    characters, and where ``form`` would convert an int past the
+    interpreter's int-str digit limit (4,300 digits by default), the int is
+    named by its bit length and any other value by its type.  The CLI lifts
+    that limit, so there every value but a long str prints in full."""
+    if isinstance(value, str) and len(value) > 40:
+        return f"{value[:40]!r}..."
+    try:
+        return form(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} holding an int of too many digits>"
+
+
 def _require_int(name: str, value, low: int) -> None:
     """``value`` is an int, not a bool, and at least ``low``."""
     if not _is_int(value) or value < low:
-        raise ValidationError(f"{name} must be >= {low}, got {value!r}")
+        raise ValidationError(f"{name} must be >= {low}, got {_shown(value)}")
 
 
 def _require_color(name: str, value, alpha: int) -> None:
     """``value`` is an int, not a bool, in 0..alpha-1."""
     if not _is_int(value) or not 0 <= value < alpha:
-        raise ValidationError(f"{name} {value!r} out of range for alpha={alpha}")
+        raise ValidationError(
+            f"{name} {_shown(value)} out of range for alpha={_shown(alpha)}")
 
 
 def _as_tuple(name: str, value) -> tuple:
@@ -50,7 +70,7 @@ def _as_tuple(name: str, value) -> tuple:
     try:
         return tuple(value)
     except TypeError:
-        raise ValidationError(f"{name} {value!r} is not a sequence") from None
+        raise ValidationError(f"{name} {_shown(value)} is not a sequence") from None
 
 
 def _require_permutation(name: str, values) -> None:
@@ -59,7 +79,7 @@ def _require_permutation(name: str, values) -> None:
     n = len(values)
     if not all(map(_is_int, values)) or sorted(values) != list(range(1, n + 1)):
         raise ValidationError(
-            f"{name} {tuple(values)} is not a permutation of 1..{n}")
+            f"{name} {_shown(tuple(values))} is not a permutation of 1..{n}")
 
 
 def _shift_colors(alpha: int, colors: tuple, shift: int) -> tuple:
@@ -169,7 +189,7 @@ class ColoredPermutation(_Record):
     def _check_compatible(self, other: "ColoredPermutation") -> None:
         if self.alpha != other.alpha:
             raise ValidationError(
-                f"alpha mismatch: {self.alpha} vs {other.alpha}")
+                f"alpha mismatch: {_shown(self.alpha)} vs {_shown(other.alpha)}")
         if self.n != other.n:
             raise ValidationError(f"size mismatch: {self.n} vs {other.n}")
 
@@ -242,10 +262,10 @@ class GenPermMatrix(_Record):
         _require_int("size", size, 1)
         if len(entries) != size:
             raise ValidationError("one entry required per column")
+        entries = tuple([_as_tuple("entry", entry) for entry in entries])
         for entry in entries:
-            if len(_as_tuple("entry", entry)) != 2:
-                raise ValidationError(f"entry {entry!r} is not a (row, exponent) pair")
-        entries = tuple([tuple(entry) for entry in entries])
+            if len(entry) != 2:
+                raise ValidationError(f"entry {_shown(entry)} is not a (row, exponent) pair")
         _require_permutation("rows", [r for r, _ in entries])
         for _, e in entries:
             _require_color("exponent", e, alpha)
@@ -291,10 +311,10 @@ def parse(alpha: int, text: str) -> ColoredPermutation:
     for tok in tokens:
         value, sep, color = tok.partition("^")
         if not sep:
-            raise ValidationError(f"token {tok!r} is missing a color (w^c)")
+            raise ValidationError(f"token {_shown(tok)} is missing a color (w^c)")
         try:
             window.append(int(value))
             colors.append(int(color))
         except ValueError:
-            raise ValidationError(f"token {tok!r} is not of the form w^c") from None
+            raise ValidationError(f"token {_shown(tok)} is not of the form w^c") from None
     return ColoredPermutation(alpha, tuple(window), tuple(colors))

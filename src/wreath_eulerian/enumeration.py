@@ -55,13 +55,20 @@ calling thread.
 """
 from __future__ import annotations
 
+__all__ = ["CapExceededError", "StatReport", "Verification", "classical_eulerian",
+           "colored_eulerian", "flag_eulerian_full", "flag_eulerian_quotient",
+           "flag_table", "full_cardinality", "iterate_fixed_last_color",
+           "iterate_full_group", "iterate_quotient_reps", "quotient_cardinality",
+           "stat_report", "verify_abr_identity", "verify_coset_invariance",
+           "verify_involution", "verify_product_identity", "verify_symmetry"]
+
 import itertools
 import math
 import os
 from collections.abc import Iterator
 
 from .core import (ColoredPermutation, ValidationError, _Record, _canonical_colors,
-                   _is_int, _require_color, _require_int, _shift_colors)
+                   _is_int, _require_color, _require_int, _shift_colors, _shown)
 from .poly import IntPolynomial, binomial_power, is_palindromic, is_real_rooted, is_unimodal
 from .stats import _descent_mask, _descents, _flag, _reversed_colors, _reversed_window
 # Not called here; kept for callers that wrap or read them.
@@ -82,9 +89,32 @@ class CapExceededError(RuntimeError):
         self.cap = cap
 
     def __str__(self) -> str:
-        # Formatted when read, not when raised: a domain size past the
-        # interpreter's int-to-str digit limit still raises this error.
-        return f"enumeration of {self.required} elements exceeds the cap of {self.cap}"
+        # Formatted when read, not when raised, and through _shown, so a
+        # domain size past the interpreter's int-str digit limit still
+        # raises this error and reads as one line.
+        return (f"enumeration of {_shown(self.required)} elements exceeds "
+                f"the cap of {_shown(self.cap)}")
+
+
+def _decimal(text: str) -> int:
+    """``int(text)`` for a decimal str of any length.  Past the
+    interpreter's int-str digit limit, which this leaves as it is, the
+    digits are read in pieces of 640, the lowest limit it allows."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        sign = -1 if body[:1] == "-" else 1
+        body = body[1:] if body[:1] in ("+", "-") else body
+        digits = body.replace("_", "")
+        # int's own rule: decimal digits, single underscores between them.
+        if not digits.isdecimal() or "__" in body or "_" in (body[0], body[-1]):
+            raise
+        value = 0
+        for start in range(0, len(digits), 640):
+            piece = digits[start:start + 640]
+            value = value * 10 ** len(piece) + int(piece)
+        return sign * value
 
 
 def resolve_cap(cap: int | None) -> int:
@@ -98,10 +128,10 @@ def resolve_cap(cap: int | None) -> int:
             return DEFAULT_CAP
         source = "WREATH_CAP"
         try:
-            cap = int(env)
+            cap = _decimal(env)
         except ValueError:
             raise ValidationError(
-                f"WREATH_CAP must be an integer, got {env!r}") from None
+                f"WREATH_CAP must be an integer, got {_shown(env)}") from None
     _require_int(source, cap, 0)
     return cap
 
@@ -291,18 +321,19 @@ def _build(alpha: int, n: int, statistic: str, domain: str,
            beta: int, cap: int | None) -> StatReport:
     """The route every report builder takes: check the arguments, map the
     domain to its fixed last color (None for the full group) and label, and
-    count: the last row of a pass to n."""
+    count: the last row of a pass to n, holding one row at a time."""
     _check_parameters(alpha, n)
     if statistic not in (STAT_DESCENT, STAT_FLAG):
-        raise ValidationError(f"unknown statistic {statistic!r}")
+        raise ValidationError(f"unknown statistic {_shown(statistic)}")
     # Checked on every domain, so a beta that no domain reads is refused
     # rather than ignored.
     _require_color("beta", beta, alpha)
     if domain not in ("quotient", "full", "fixed"):
-        raise ValidationError(f"unknown domain {domain!r}")
+        raise ValidationError(f"unknown domain {_shown(domain)}")
     fixed = {"quotient": 0, "full": None, "fixed": beta}[domain]
     label = f"fixed:{beta}" if domain == "fixed" else domain
-    *_, polynomial = _rows(alpha, n, statistic, fixed, cap)
+    for polynomial in _rows(alpha, n, statistic, fixed, cap):
+        pass
     return StatReport(alpha, n, statistic, label, polynomial)
 
 

@@ -39,9 +39,12 @@ No floating point anywhere.
 """
 from __future__ import annotations
 
+__all__ = ["IntPolynomial", "binomial_power", "is_palindromic", "is_real_rooted",
+           "is_unimodal", "real_root_count"]
+
 import math
 
-from .core import ValidationError, _Record, _as_tuple, _is_int, _require_int
+from .core import ValidationError, _Record, _as_tuple, _is_int, _require_int, _shown
 
 #: Sentinels for unbounded interval ends in root counting.
 NEG_INF = object()
@@ -64,7 +67,7 @@ class IntPolynomial(_Record):
         if (not {*map(type, coefficients)} <= {int}
                 and not all(map(_is_int, coefficients))):
             bad = next(c for c in coefficients if not _is_int(c))
-            raise ValidationError(f"coefficient {bad!r} is not an int")
+            raise ValidationError(f"coefficient {_shown(bad)} is not an int")
         object.__setattr__(self, "coefficients", coefficients)
 
     @property
@@ -332,7 +335,7 @@ def _require_bound(name: str, value) -> None:
             or value is NEG_INF or value is POS_INF):
         raise ValidationError(
             f"{name} must be an int, a Fraction, NEG_INF or POS_INF, "
-            f"got {value!r}")
+            f"got {_shown(value)}")
 
 
 def real_root_count(p: IntPolynomial, lower=NEG_INF, upper=POS_INF) -> int:

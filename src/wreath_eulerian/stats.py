@@ -16,8 +16,12 @@ descent sets of a window and of its reversal, number 2^(n-1) as well.
 """
 from __future__ import annotations
 
+__all__ = ["ColorSequence", "colored_descent_count", "colored_descent_set",
+           "delete_equal_color_descent", "flag_descent", "reversal_map",
+           "reverse_winding_number", "winding_number"]
+
 from .core import (ColoredPermutation, ValidationError, _Record, _as_tuple,
-                   _canonical_colors, _require_color, _require_int)
+                   _canonical_colors, _require_color, _require_int, _shown)
 
 
 class ColorSequence(_Record):
@@ -110,7 +114,7 @@ def reversal_map(w: ColoredPermutation) -> ColoredPermutation:
     rather than silently canonicalized.
     """
     if not w.is_quotient_rep():
-        raise ValidationError(f"reversal map needs last color 0, got {w}")
+        raise ValidationError(f"reversal map needs last color 0, got {_shown(w, str)}")
     return ColoredPermutation._trusted(
         w.alpha, _reversed_window(w.window), _reversed_colors(w.alpha, w.colors))
 
@@ -122,15 +126,15 @@ def delete_equal_color_descent(w: ColoredPermutation, i: int) -> ColoredPermutat
     are unchanged; the result is again a quotient representative."""
     n = w.n
     if not w.is_quotient_rep():
-        raise ValidationError(f"deletion needs last color 0, got {w}")
+        raise ValidationError(f"deletion needs last color 0, got {_shown(w, str)}")
     if n < 2:
         raise ValidationError("deletion needs n >= 2")
     _require_int("position", i, 1)
     if i >= n:
-        raise ValidationError(f"position {i} out of range 1..{n - 1}")
+        raise ValidationError(f"position {_shown(i)} out of range 1..{n - 1}")
     if w.colors[i - 1] != w.colors[i] or w.window[i - 1] <= w.window[i]:
         raise ValidationError(
-            f"position {i} of {w} is not an equal-color descent")
+            f"position {i} of {_shown(w, str)} is not an equal-color descent")
     removed = w.window[i - 1]
     rest = w.window[: i - 1] + w.window[i:]
     window = tuple(v - 1 if v > removed else v for v in rest)

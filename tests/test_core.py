@@ -1,10 +1,13 @@
 import itertools
+import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreath_eulerian import (
+    CapExceededError,
     ColoredPermutation,
     ColorSequence,
     GenPermMatrix,
@@ -18,10 +21,14 @@ from wreath_eulerian import (
     identity,
     iterate_full_group,
     parse,
+    quotient_cardinality,
+    reversal_map,
+    stat_report,
     validate,
     verify_abr_identity,
     verify_product_identity,
     verify_symmetry,
+    winding_number,
 )
 from wreath_eulerian.cli import main
 from wreath_eulerian.enumeration import resolve_cap
@@ -237,6 +244,16 @@ class TestMatrixRepresentation:
         assert hash(from_lists) == hash(from_tuples)
         assert ColoredPermutation(2, [2, 1], [0, 1]).to_matrix() == from_lists
 
+    def test_iterator_entries_are_read_once(self):
+        assert GenPermMatrix(2, 1, [iter([1, 0])]) == GenPermMatrix(2, 1, ((1, 0),))
+        entries = ((2, 0), (1, 1))
+        assert (GenPermMatrix(2, 2, (iter(entry) for entry in entries))
+                == GenPermMatrix(2, 2, entries))
+
+    def test_one_entry_per_column(self):
+        with pytest.raises(ValidationError, match="^one entry required per column$"):
+            GenPermMatrix(2, 2, ((1, 0),))
+
 
 class TestCosets:
     def test_canonical_rep_shifts_last_color_to_zero(self):
@@ -375,3 +392,53 @@ class TestParameterChecks:
     def test_sweep_bound_rejected_by_name(self, call, name):
         with pytest.raises(ValidationError, match=name):
             call()
+
+
+class TestPastTheDigitLimit:
+    """Under Python's default limit of 4,300 digits on int-str conversion, a
+    rule that shows a value still raises its own one-line error: an int past
+    the limit is named by its bit length, and any other value holding one by
+    its type.  With the limit lifted, as the CLI lifts it, the value prints
+    in full."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: ColoredPermutation(2, (10**5000,), (0,)),
+         "window <tuple holding an int of too many digits> is not a permutation of 1..1"),
+        (lambda: ColoredPermutation(10**5000, (1,), (-1,)),
+         "color -1 out of range for alpha=<int of 16610 bits>"),
+        (lambda: ColoredPermutation(2, 10**5000, (0,)),
+         "window <int of 16610 bits> is not a sequence"),
+        (lambda: GenPermMatrix(2, 1, [(1, 10**5000, 0)]),
+         "entry <tuple holding an int of too many digits> is not a (row, exponent) pair"),
+        (lambda: quotient_cardinality(2, -10**5000),
+         "n must be >= 1, got <negative int of 16610 bits>"),
+        (lambda: stat_report(2, 3, "flag", "fixed", beta=10**5000),
+         "beta <int of 16610 bits> out of range for alpha=2"),
+        (lambda: winding_number(ColorSequence(2, (0, 1)), 10**5000),
+         "mark <int of 16610 bits> out of range for alpha=2"),
+        (lambda: delete_equal_color_descent(validate(2, (2, 1), (0, 0)), 10**5000),
+         "position <int of 16610 bits> out of range 1..1"),
+        (lambda: reversal_map(validate(10**5000, (1,), (10**4999,))),
+         "reversal map needs last color 0, got "
+         "<ColoredPermutation holding an int of too many digits>"),
+        (lambda: flag_table(2, 1500),
+         "enumeration of <int of 15168 bits> elements exceeds the cap of 1000000000"),
+    ], ids=["window", "alpha", "window-int", "entry", "n", "beta", "mark",
+            "position", "reversal", "cap"])
+    def test_one_line_message(self, monkeypatch, default_digit_limit, call, message):
+        monkeypatch.delenv("WREATH_CAP", raising=False)
+        with pytest.raises((ValidationError, CapExceededError)) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_lifted_limit_prints_in_full(self, monkeypatch, default_digit_limit):
+        monkeypatch.delenv("WREATH_CAP", raising=False)
+        sys.set_int_max_str_digits(0)
+        with pytest.raises(ValidationError) as exc:
+            quotient_cardinality(2, -10**5000)
+        assert str(exc.value) == f"n must be >= 1, got {-10**5000}"
+        with pytest.raises(CapExceededError) as exc:
+            flag_table(2, 1500)
+        required = 2**1499 * math.factorial(1500)
+        assert str(exc.value) == (f"enumeration of {required} elements "
+                                  f"exceeds the cap of 1000000000")

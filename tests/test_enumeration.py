@@ -1,7 +1,9 @@
 import itertools
 import math
 import pickle
+import sys
 import tracemalloc
+import weakref
 
 import pytest
 from conftest import stream_distribution
@@ -152,6 +154,42 @@ class TestStreams:
         monkeypatch.setenv("WREATH_CAP", "10")
         with pytest.raises(CapExceededError):
             list(iterate_quotient_reps(2, 4))
+
+    # Decimal strs past Python's default limit of 4,300 digits on int-str
+    # conversion, well formed and not, with int's own rules: whitespace
+    # around, a sign, single underscores between digits, any decimal digits.
+    LONG = ["1" + "0" * 4400, " +1_" + "0" * 4400 + "\n", "-" + "9" * 4401,
+            "1_" * 3000 + "1", "\u0663" * 4400, "1" * 4401 + "x", "1__" + "0" * 4400,
+            "_1" + "0" * 4400, "1" * 4401 + "_", "x" * 4401, "+-" + "1" * 4401]
+
+    @pytest.mark.parametrize("text", LONG, ids=range(len(LONG)))
+    def test_long_decimal_is_read_as_int_reads_it(self, default_digit_limit, text):
+        try:
+            got = enumeration._decimal(text)
+        except ValueError:
+            got = ValueError
+        sys.set_int_max_str_digits(0)
+        try:
+            want = int(text)
+        except ValueError:
+            want = ValueError
+        assert got == want
+
+    def test_long_cap_env(self, monkeypatch, default_digit_limit):
+        # The library leaves the digit limit as it is, and still reads a
+        # 4,401-digit WREATH_CAP exactly.
+        monkeypatch.setenv("WREATH_CAP", "1" + "0" * 4400)
+        assert enumeration.resolve_cap(None) == 10**4400
+        assert flag_eulerian_quotient(2, 3).polynomial.coefficients == (1, 6, 10, 6, 1)
+        monkeypatch.setenv("WREATH_CAP", "-" + "9" * 4401)
+        with pytest.raises(ValidationError) as exc:
+            enumeration.resolve_cap(None)
+        assert str(exc.value) == "WREATH_CAP must be >= 0, got <negative int of 14620 bits>"
+        # A refused value is quoted to its first 40 characters.
+        monkeypatch.setenv("WREATH_CAP", "1" * 4401 + "x")
+        with pytest.raises(ValidationError) as exc:
+            enumeration.resolve_cap(None)
+        assert str(exc.value) == f"WREATH_CAP must be an integer, got {'1' * 40!r}..."
 
 
 def assert_checked(w):
@@ -434,6 +472,23 @@ class TestSweeps:
         assert calls[2:] == [(2, 7)]
         assert flag_eulerian_quotient(2, 4).cardinality == 192
         assert calls[3:] == [(2, 4)]
+
+    def test_a_build_holds_one_row(self, monkeypatch):
+        # A stand-in pass checks, as it makes row k, that row k - 2 is gone.
+        class Row:
+            pass
+
+        def rows(alpha, n_max, statistic, beta, cap):
+            made = []
+            for k in range(n_max):
+                assert k < 2 or made[k - 2]() is None, f"row {k - 2} is still held"
+                row = Row()
+                made.append(weakref.ref(row))
+                yield row
+
+        monkeypatch.setattr(enumeration, "_rows", rows)
+        assert type(flag_eulerian_quotient(2, 6).polynomial) is Row
+        assert type(stat_report(3, 5, "colored-descent", "full").polynomial) is Row
 
     def test_empty_sweeps(self):
         assert verify_abr_identity(0) == []

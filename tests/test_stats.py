@@ -139,6 +139,10 @@ class TestDeletion:
         with pytest.raises(ValidationError):
             delete_equal_color_descent(w, 1)
 
+    def test_rejects_a_single_entry(self):
+        with pytest.raises(ValidationError, match="^deletion needs n >= 2$"):
+            delete_equal_color_descent(validate(2, [1], [0]), 1)
+
     @pytest.mark.parametrize("alpha,n", [(1, 5), (2, 4), (3, 4)])
     def test_induction_step_exhaustive(self, alpha, n):
         # Deleting an equal-color descent drops exactly one side's flag by
@@ -181,6 +185,10 @@ class TestWindingNumbers:
         for alpha in (2, 3, 4, 5):
             s = ColorSequence(alpha, tuple(range(alpha)) + (0,))
             assert reverse_winding_number(s, 0) == 1
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValidationError, match="^color sequence must be nonempty$"):
+            ColorSequence(2, ())
 
     def test_mark_out_of_range(self):
         s = ColorSequence(3, (0, 1))
