@@ -53,6 +53,8 @@ count() {
 # installed copy.  Only what the import adds counts: site may load typing
 # itself, and -S would drop the site-packages that hold the installed copy.
 # The installed package exports the sorted union of its modules' __all__.
+# Under the interpreter's default int-str digit limit, parse reads a
+# 5,000-digit entry and refuses it as no permutation, in one line.
 python -c "import sys
 before = set(sys.modules)
 import wreath_eulerian.cli
@@ -61,7 +63,14 @@ loaded = [m for m in heavy if m in sys.modules and m not in before]
 assert not loaded, f'importing wreath_eulerian.cli loaded {loaded}'
 import wreath_eulerian as w
 union = [*w.core.__all__, *w.enumeration.__all__, *w.poly.__all__, *w.stats.__all__]
-assert w.__all__ == sorted(union), 'wreath_eulerian.__all__ differs from the union of the module lists'"
+assert w.__all__ == sorted(union), 'wreath_eulerian.__all__ differs from the union of the module lists'
+try:
+    w.parse(2, '1' * 5000 + '^0')
+except w.ValidationError as exc:
+    message = str(exc)
+else:
+    raise AssertionError('parse accepted a 5,000-digit entry')
+assert '\n' not in message and 'w^c' not in message, message"
 # A WREATH_CAP of 4,401 digits, past Python's default int-str limit, is read.
 WREATH_CAP=$(printf '1%04400d' 0) "${cli[@]}" poly --alpha 2 --n 3 > long_cap.txt
 count 1 '^coefficients: 1 6 10 6 1$' long_cap.txt

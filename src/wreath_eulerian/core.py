@@ -7,11 +7,13 @@ identity permutation with all colors 1) is never materialized.  Cosets are
 decided by ``_canonical_colors``, the shift to last color 0, which gives
 ``canonical_rep`` and, with the window, ``same_coset``.
 
-This module owns the parameter rules: ``_require_int`` (alpha, n, a cap),
-``_require_color`` (a color, beta, a mark) and ``_require_permutation`` (a
-window, a matrix's rows).  Every public entry point checks its arguments
-through them, so a value that is not an int, or is a bool, is a
-:class:`ValidationError` like one out of range.
+This module owns the input rules.  ``_decimal`` reads decimal text of any
+length, a token of :func:`parse` or a ``WREATH_CAP``.  ``_require_int``
+(alpha, n, a cap), ``_require_color`` (a color, beta, a mark) and
+``_require_permutation`` (a window, a matrix's rows) check parameters.
+Every public entry point checks its arguments through them, so a value
+that is not an int, or is a bool, is a :class:`ValidationError` like one
+out of range.
 
 Public construction is always checked: :func:`validate`, :func:`parse`, a
 direct ``ColoredPermutation(...)``, the group product and the inverse.  The
@@ -50,6 +52,24 @@ def _shown(value, form=repr) -> str:
         if isinstance(value, int):
             return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
         return f"<{type(value).__name__} holding an int of too many digits>"
+
+
+def _decimal(text: str) -> int:
+    """``int(text)`` for a decimal str of any length, by int's own rule:
+    decimal digits, single underscores between them, a sign and whitespace
+    around.  The digits are read in pieces of 640, the lowest int-str digit
+    limit the interpreter allows, so its limit is left as it is."""
+    body = text.strip()
+    sign = -1 if body[:1] == "-" else 1
+    body = body[1:] if body[:1] in ("+", "-") else body
+    digits = body.replace("_", "")
+    if not digits.isdecimal() or "__" in body or "_" in (body[0], body[-1]):
+        raise ValueError("not a decimal integer")
+    value = 0
+    for start in range(0, len(digits), 640):
+        piece = digits[start:start + 640]
+        value = value * 10 ** len(piece) + int(piece)
+    return sign * value
 
 
 def _require_int(name: str, value, low: int) -> None:
@@ -313,8 +333,8 @@ def parse(alpha: int, text: str) -> ColoredPermutation:
         if not sep:
             raise ValidationError(f"token {_shown(tok)} is missing a color (w^c)")
         try:
-            window.append(int(value))
-            colors.append(int(color))
+            window.append(_decimal(value))
+            colors.append(_decimal(color))
         except ValueError:
             raise ValidationError(f"token {_shown(tok)} is not of the form w^c") from None
     return ColoredPermutation(alpha, tuple(window), tuple(colors))

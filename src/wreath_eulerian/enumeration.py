@@ -68,7 +68,7 @@ import os
 from collections.abc import Iterator
 
 from .core import (ColoredPermutation, ValidationError, _Record, _canonical_colors,
-                   _is_int, _require_color, _require_int, _shift_colors, _shown)
+                   _decimal, _is_int, _require_color, _require_int, _shift_colors, _shown)
 from .poly import IntPolynomial, binomial_power, is_palindromic, is_real_rooted, is_unimodal
 from .stats import _descent_mask, _descents, _flag, _reversed_colors, _reversed_window
 # Not called here; kept for callers that wrap or read them.
@@ -94,27 +94,6 @@ class CapExceededError(RuntimeError):
         # raises this error and reads as one line.
         return (f"enumeration of {_shown(self.required)} elements exceeds "
                 f"the cap of {_shown(self.cap)}")
-
-
-def _decimal(text: str) -> int:
-    """``int(text)`` for a decimal str of any length.  Past the
-    interpreter's int-str digit limit, which this leaves as it is, the
-    digits are read in pieces of 640, the lowest limit it allows."""
-    try:
-        return int(text)
-    except ValueError:
-        body = text.strip()
-        sign = -1 if body[:1] == "-" else 1
-        body = body[1:] if body[:1] in ("+", "-") else body
-        digits = body.replace("_", "")
-        # int's own rule: decimal digits, single underscores between them.
-        if not digits.isdecimal() or "__" in body or "_" in (body[0], body[-1]):
-            raise
-        value = 0
-        for start in range(0, len(digits), 640):
-            piece = digits[start:start + 640]
-            value = value * 10 ** len(piece) + int(piece)
-        return sign * value
 
 
 def resolve_cap(cap: int | None) -> int:

@@ -16,6 +16,7 @@ from wreath_eulerian import (
     iterate_fixed_last_color,
     iterate_full_group,
 )
+from wreath_eulerian.core import _decimal
 
 
 def stream_distribution(alpha: int, n: int, statistic: str,
@@ -47,3 +48,22 @@ def default_digit_limit():
     sys.set_int_max_str_digits(4300)
     yield
     sys.set_int_max_str_digits(before)
+
+
+def decimal_and_int(text: str) -> tuple:
+    """``(_decimal(text), int(text))``, each ValueError where it refuses
+    the text.  ``_decimal`` reads under the digit limit in force, and
+    ``int`` with the limit lifted, so that it reads any length."""
+    try:
+        got = _decimal(text)
+    except ValueError:
+        got = ValueError
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = int(text)
+    except ValueError:
+        want = ValueError
+    finally:
+        sys.set_int_max_str_digits(before)
+    return got, want

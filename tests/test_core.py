@@ -3,6 +3,7 @@ import math
 import sys
 
 import pytest
+from conftest import decimal_and_int
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -344,6 +345,16 @@ class TestRendering:
         assert parse(w.alpha, str(w)) == w
 
 
+class TestDecimal:
+    """``_decimal`` reads decimal text as ``int`` does; test_enumeration.py
+    pins it on strs past the digit limit."""
+
+    @given(st.text(alphabet="0123456789\u0663_+- x"))
+    def test_reads_as_int_reads(self, text):
+        got, want = decimal_and_int(text)
+        assert got == want
+
+
 class TestParameterChecks:
     """A parameter that is not an int, or is a bool, and a container that is
     not a sequence of the right shape, are a ValidationError at every public
@@ -423,8 +434,12 @@ class TestPastTheDigitLimit:
          "<ColoredPermutation holding an int of too many digits>"),
         (lambda: flag_table(2, 1500),
          "enumeration of <int of 15168 bits> elements exceeds the cap of 1000000000"),
+        (lambda: parse(2, "1" * 5000 + "^0"),
+         "window <tuple holding an int of too many digits> is not a permutation of 1..1"),
+        (lambda: parse(2, "1^" + "1" * 5000),
+         "color <int of 16607 bits> out of range for alpha=2"),
     ], ids=["window", "alpha", "window-int", "entry", "n", "beta", "mark",
-            "position", "reversal", "cap"])
+            "position", "reversal", "cap", "parse-entry", "parse-color"])
     def test_one_line_message(self, monkeypatch, default_digit_limit, call, message):
         monkeypatch.delenv("WREATH_CAP", raising=False)
         with pytest.raises((ValidationError, CapExceededError)) as exc:

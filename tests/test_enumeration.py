@@ -1,12 +1,11 @@
 import itertools
 import math
 import pickle
-import sys
 import tracemalloc
 import weakref
 
 import pytest
-from conftest import stream_distribution
+from conftest import decimal_and_int, stream_distribution
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +19,7 @@ from wreath_eulerian import (
     binomial_power,
     classical_eulerian,
     color_shift_generator,
-    colored_descent_count,
     colored_eulerian,
-    flag_descent,
     flag_eulerian_full,
     flag_eulerian_quotient,
     flag_table,
@@ -158,21 +155,17 @@ class TestStreams:
     # Decimal strs past Python's default limit of 4,300 digits on int-str
     # conversion, well formed and not, with int's own rules: whitespace
     # around, a sign, single underscores between digits, any decimal digits.
-    LONG = ["1" + "0" * 4400, " +1_" + "0" * 4400 + "\n", "-" + "9" * 4401,
-            "1_" * 3000 + "1", "\u0663" * 4400, "1" * 4401 + "x", "1__" + "0" * 4400,
-            "_1" + "0" * 4400, "1" * 4401 + "_", "x" * 4401, "+-" + "1" * 4401]
+    # Then short strs that int reads or refuses.  The property test of
+    # core._decimal on short strs is in test_core.py.
+    DECIMALS = ["1" + "0" * 4400, " +1_" + "0" * 4400 + "\n", "-" + "9" * 4401,
+                "1_" * 3000 + "1", "\u0663" * 4400, "1" * 4401 + "x", "1__" + "0" * 4400,
+                "_1" + "0" * 4400, "1" * 4401 + "_", "x" * 4401, "+-" + "1" * 4401,
+                " 12 ", "+1_000", "-0", "\u0661\u0662\u0663", "", "-", "1__0", "_1",
+                "1_", "0x10", "\u00b2"]
 
-    @pytest.mark.parametrize("text", LONG, ids=range(len(LONG)))
+    @pytest.mark.parametrize("text", DECIMALS, ids=range(len(DECIMALS)))
     def test_long_decimal_is_read_as_int_reads_it(self, default_digit_limit, text):
-        try:
-            got = enumeration._decimal(text)
-        except ValueError:
-            got = ValueError
-        sys.set_int_max_str_digits(0)
-        try:
-            want = int(text)
-        except ValueError:
-            want = ValueError
+        got, want = decimal_and_int(text)
         assert got == want
 
     def test_long_cap_env(self, monkeypatch, default_digit_limit):
@@ -727,33 +720,39 @@ class TestVerifiers:
 
 class TestKernels:
     """The verifiers walk raw (window, colors) fields through one kernel per
-    rule; each kernel must agree with the public function on the element."""
+    rule; each kernel must agree with its rule, stated here on the fields,
+    on every element of the full group, which holds every other domain."""
 
     def test_kernels_agree_with_public_functions(self):
         shift_by = enumeration._shift_colors
         for alpha, n in TestUncheckedConstruction.SIZES:
-            # A shift by 1 is the product with the generator; a shift by s
-            # is s shifts by 1.
             generator = color_shift_generator(alpha, n)
             for w in iterate_full_group(alpha, n):
-                assert shift_by(alpha, w.colors, 1) == (generator * w).colors
-                shifted = w.colors
-                for shift in range(alpha):
-                    assert shift_by(alpha, w.colors, shift) == shifted
-                    shifted = shift_by(alpha, shifted, 1)
-            domains = [iterate_full_group(alpha, n), iterate_quotient_reps(alpha, n),
-                       *(iterate_fixed_last_color(alpha, n, b) for b in range(alpha))]
-            for w in itertools.chain(*domains):
                 window, colors = w.window, w.colors
-                assert enumeration._flag(alpha, window, colors) == flag_descent(w)
-                assert enumeration._descents(window, colors) == colored_descent_count(w)
+                # A shift by 1 is the product with the generator; a shift by
+                # s is s shifts by 1.
+                assert shift_by(alpha, colors, 1) == (generator * w).colors
+                shifted = colors
+                for shift in range(alpha):
+                    assert shift_by(alpha, colors, shift) == shifted
+                    shifted = shift_by(alpha, shifted, 1)
+                steps = list(zip(window, window[1:], colors, colors[1:]))
+                # flag = c_1 + alpha * #{i : c_i < c_(i+1), or c_i = c_(i+1)
+                # and w_i > w_(i+1)}.
+                flag = colors[0] + alpha * sum(c < d or c == d and v > u
+                                               for v, u, c, d in steps)
+                assert enumeration._flag(alpha, window, colors) == flag
+                # des = #{i : c_i != c_(i+1) or w_i > w_(i+1)}.
+                descents = sum(c != d or v > u for v, u, c, d in steps)
+                assert enumeration._descents(window, colors) == descents
+                # The coset representative: every color shifted by -c_n.
                 assert enumeration._canonical_colors(alpha, colors) == \
-                    w.canonical_rep().colors
-                if w.is_quotient_rep():
-                    r = reversal_map(w)
-                    assert (r.window, r.colors) == \
-                        (enumeration._reversed_window(window),
-                         enumeration._reversed_colors(alpha, colors))
+                    tuple((c - colors[-1]) % alpha for c in colors)
+                # The reversal: the window reversed, and the colors reversed
+                # and shifted by -c_1.
+                assert enumeration._reversed_window(window) == window[::-1]
+                assert enumeration._reversed_colors(alpha, colors) == \
+                    tuple((c - colors[0]) % alpha for c in colors[::-1])
 
     def test_kernels_per_descent_class_and_coloring(self, monkeypatch):
         # The verifiers walk the n! windows once and then check one window
