@@ -31,6 +31,7 @@ from .enumeration import (
     STAT_FLAG,
     CapExceededError,
     StatReport,
+    _reports,
     flag_table,
     stat_report,
     verify_abr_identity,
@@ -204,25 +205,20 @@ def _run_table(args) -> tuple[str, int]:
 
 def _run_verify(args) -> tuple[str, int]:
     results = args.verifier(*[getattr(args, name) for name in args.reads], cap=args.cap)
-    lines = []
-    status = EXIT_OK
+    text = ""
     for result in results if isinstance(results, list) else [results]:
-        if result.ok:
-            lines.append(f"PASS {result.description}")
-        else:
-            status = EXIT_COUNTEREXAMPLE
-            lines.append(f"FAIL {result.description}")
+        text += f"{'PASS' if result.ok else 'FAIL'} {result.description}\n"
+        if not result.ok:
             if result.counterexample is not None:
-                lines.append(f"counterexample: {result.counterexample}")
-            break
-    return "\n".join(lines) + "\n", status
+                text += f"counterexample: {result.counterexample}\n"
+            return text, EXIT_COUNTEREXAMPLE
+    return text, EXIT_OK
 
 
 def _run_report(args) -> tuple[str, int]:
-    table = flag_table(args.alpha, args.max_n, cap=args.cap)
-    records = [_record("report", StatReport(args.alpha, n, STAT_FLAG,
-                                            "quotient", polynomial), "flag")
-               for n, polynomial in enumerate(table, start=1)]
+    records = [_record("report", report, "flag")
+               for report in _reports(args.alpha, args.max_n, STAT_FLAG,
+                                      "quotient", 0, args.cap)]
     if args.format == "json":
         return _sweep_json(args, records), EXIT_OK
     rows = [[str(record[key]).lower() for key in _ROW_KEYS]
@@ -247,7 +243,8 @@ def main(argv: list[str] | None = None) -> int:
         _emit(text, args.out)
         return status
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        # argparse exits only through ArgumentParser.exit, with an int.
+        return exc.code
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -45,9 +45,13 @@ walks their lexicographic (window, colors) product under every stream, and
 the verifiers walk the same two factors.
 
 One pass serves a whole sweep over n, since after n entries its states hold
-row n: the table and the identity verifiers read every row from it, refused
-up front on the largest domain.  A :class:`StatReport` computes its
-cardinality and shape verdicts when read, so a sweep never runs a Sturm chain.
+row n, and the cap refuses it up front on the largest domain.  Every row
+that is printed takes one route, ``_reports``, which checks the arguments
+and yields a :class:`StatReport` per n from one pass: the report builders
+keep its last report, the table its polynomials, and the CLI's ``report``
+renders every one.  Only the identity verifiers read the pass (``_rows``)
+themselves.  A report computes its cardinality and shape verdicts when
+read, so a sweep that reads only coefficients never runs a Sturm chain.
 
 The builders' ``workers`` argument is accepted for compatibility; it changes
 neither the result nor the parallelism, since every computation runs in the
@@ -65,6 +69,7 @@ __all__ = ["CapExceededError", "StatReport", "Verification", "classical_eulerian
 import itertools
 import math
 import os
+from collections import deque
 from collections.abc import Iterator
 
 from .core import (ColoredPermutation, ValidationError, _Record, _canonical_colors,
@@ -296,12 +301,12 @@ def _rows(alpha: int, n_max: int, statistic: str, beta: int | None,
         states = new_states
 
 
-def _build(alpha: int, n: int, statistic: str, domain: str,
-           beta: int, cap: int | None) -> StatReport:
-    """The route every report builder takes: check the arguments, map the
+def _reports(alpha: int, n_max: int, statistic: str, domain: str,
+             beta: int, cap: int | None) -> Iterator[StatReport]:
+    """The route every printed row takes: check the arguments, map the
     domain to its fixed last color (None for the full group) and label, and
-    count: the last row of a pass to n, holding one row at a time."""
-    _check_parameters(alpha, n)
+    yield the report of each n = 1..n_max from one pass."""
+    _check_parameters(alpha, n_max)
     if statistic not in (STAT_DESCENT, STAT_FLAG):
         raise ValidationError(f"unknown statistic {_shown(statistic)}")
     # Checked on every domain, so a beta that no domain reads is refused
@@ -311,9 +316,15 @@ def _build(alpha: int, n: int, statistic: str, domain: str,
         raise ValidationError(f"unknown domain {_shown(domain)}")
     fixed = {"quotient": 0, "full": None, "fixed": beta}[domain]
     label = f"fixed:{beta}" if domain == "fixed" else domain
-    for polynomial in _rows(alpha, n, statistic, fixed, cap):
-        pass
-    return StatReport(alpha, n, statistic, label, polynomial)
+    for n, polynomial in enumerate(_rows(alpha, n_max, statistic, fixed, cap), start=1):
+        yield StatReport(alpha, n, statistic, label, polynomial)
+
+
+def _build(alpha: int, n: int, statistic: str, domain: str,
+           beta: int, cap: int | None) -> StatReport:
+    """The route every report builder takes: the last report of a pass to
+    n, holding one row at a time."""
+    return deque(_reports(alpha, n, statistic, domain, beta, cap), maxlen=1)[0]
 
 
 def colored_eulerian(alpha: int, n: int, cap: int | None = None,
@@ -368,7 +379,7 @@ def flag_table(alpha: int, n_max: int, cap: int | None = None,
     _require_int("alpha", alpha, 1)
     if not _sweeps("n_max", n_max):
         return []
-    return list(_rows(alpha, n_max, STAT_FLAG, 0, cap))
+    return [r.polynomial for r in _reports(alpha, n_max, STAT_FLAG, "quotient", 0, cap)]
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +429,18 @@ def verify_involution(alpha: int, n: int, cap: int | None = None) -> Verificatio
     color checks.  The first failing element in (colors, window) order is
     the first window that fails under the first coloring, if that coloring
     holds, and otherwise the first failing coloring's identity window.  So
-    the walk over colorings stops at the first coloring if a window fails,
-    and the failing element's window is the identity exactly when its
-    coloring fails its own check."""
+    one pass over the colorings checks each once and stops at the first
+    coloring if a window fails, and the failing element's window is the
+    identity exactly when its coloring fails its own check."""
     _admit(alpha, n, 0, cap)
     window = next((window for window in _windows(n)
                    if _reversed_window(_reversed_window(window)) != window), None)
-    colors = next((colors for colors in _colorings(alpha, n, 0) if window
-                   or _reversed_colors(alpha, _reversed_colors(alpha, colors)) != colors), None)
-    if colors is not None:
+    for colors in _colorings(alpha, n, 0):
         if _reversed_colors(alpha, _reversed_colors(alpha, colors)) != colors:
             window = tuple(range(1, n + 1))
-        return Verification(False, "r(r(w)) != w",
-                            ColoredPermutation._trusted(alpha, window, colors))
+        if window is not None:
+            return Verification(False, "r(r(w)) != w",
+                                ColoredPermutation._trusted(alpha, window, colors))
     return Verification(
         True, f"reversal is an involution on {quotient_cardinality(alpha, n)} elements")
 

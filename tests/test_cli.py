@@ -217,6 +217,20 @@ class TestReportCommand:
         assert out.splitlines()[0] == \
             "alpha,n,degree,cardinality,palindromic,unimodal,real_rooted"
 
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+    def test_rows_are_the_poly_records(self, capsys, alpha):
+        # A report row is the default poly's record, bar its command.
+        _, out, _ = run(capsys, "report", "--alpha", str(alpha), "--max-n", "8",
+                        "--format", "json")
+        rows = json.loads(out)["rows"]
+        assert [row["n"] for row in rows] == list(range(1, 9))
+        for n, row in enumerate(rows, start=1):
+            _, out, _ = run(capsys, "poly", "--alpha", str(alpha), "--n", str(n),
+                            "--format", "json")
+            record = json.loads(out)
+            assert (row.pop("command"), record.pop("command")) == ("report", "poly")
+            assert row == record
+
 
 class TestExactOutput:
     """Whole stdout of every rendering, field order included."""
