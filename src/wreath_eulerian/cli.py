@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, _run_table)
 
     # Each verify target takes only the flags its verifier reads, in argument
-    # order; built per call, so a verifier rebound on this module is used.
+    # order.  Built per call, because perfbench/spans.py's install rebinds
+    # cli.verify_* after import and the table must use the rebound names.
     targets = sub.add_parser("verify", help="identity verification sweeps"
                              ).add_subparsers(dest="target", required=True)
     walk = {"--alpha": int, "--n": int}

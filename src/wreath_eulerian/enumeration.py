@@ -15,8 +15,9 @@ Three computation routes coexist on purpose:
   class's first window (in lex order) and size, and then check one
   representative per (class, coloring): 2^(n-1) * alpha^(n-1) checks for
   n! * alpha^(n-1) elements.  Symmetry reads the window and its reversal,
-  so it groups the windows by the pair (D(w), D(r(w))) instead; the
-  reversal complements and reverses D(w), so there are again 2^(n-1)
+  so its walk reverses each window once and groups the (window, reversal)
+  pairs by (D(w), D(r(w))) instead, checking a group at its first pair;
+  the reversal complements and reverses D(w), so there are again 2^(n-1)
   groups.  Involution needs no classes: the reversal is the pair of its
   two halves, so it is an involution iff each half is.  Colorings are
   the outer loop and classes are checked in order of first appearance, so
@@ -39,10 +40,11 @@ Three computation routes coexist on purpose:
 
 Both routes name a domain by ``beta``: last color beta (0 is the quotient),
 or ``None`` for the full group.  ``_admit`` owns the domain rule: check
-alpha, n and beta, and refuse a domain larger than the cap.  A domain is
-the product of two factors, ``_windows`` and ``_colorings``: ``_elements``
-walks their lexicographic (window, colors) product under every stream, and
-the verifiers walk the same two factors.
+alpha, n and beta, refuse a domain larger than the cap, and return the
+size it admitted, which the builder packs by and the involution verifier
+prints.  A domain is the product of two factors, ``_windows`` and
+``_colorings``: ``_elements`` walks their lexicographic (window, colors)
+product under every stream, and the verifiers walk the same two factors.
 
 One pass serves a whole sweep over n, since after n entries its states hold
 row n, and the cap refuses it up front on the largest domain.  Every row
@@ -76,7 +78,8 @@ from .core import (ColoredPermutation, ValidationError, _Record, _canonical_colo
                    _decimal, _is_int, _require_color, _require_int, _shift_colors, _shown)
 from .poly import IntPolynomial, binomial_power, is_palindromic, is_real_rooted, is_unimodal
 from .stats import _descent_mask, _descents, _flag, _reversed_colors, _reversed_window
-# Not called here; kept for callers that wrap or read them.
+# Not called here: perfbench/spans.py wraps these three names on this module.
+# ROADMAP item 19 deletes this line along with that file.
 from .stats import colored_descent_count, flag_descent, reversal_map
 
 DEFAULT_CAP = 10**9
@@ -125,16 +128,17 @@ def _check_parameters(alpha: int, n: int) -> None:
     _require_int("n", n, 1)
 
 
-def _admit(alpha: int, n: int, beta: int | None, cap: int | None) -> None:
+def _admit(alpha: int, n: int, beta: int | None, cap: int | None) -> int:
     """The domain rule: check alpha and n (through the domain's size), then
     beta (None is the full group), then refuse a domain larger than the
-    resolved cap."""
+    resolved cap.  Returns the size it admitted."""
     size = full_cardinality(alpha, n) if beta is None else quotient_cardinality(alpha, n)
     if beta is not None:
         _require_color("beta", beta, alpha)
     cap = resolve_cap(cap)
     if size > cap:
         raise CapExceededError(size, cap)
+    return size
 
 
 def quotient_cardinality(alpha: int, n: int) -> int:
@@ -269,12 +273,12 @@ def _rows(alpha: int, n_max: int, statistic: str, beta: int | None,
     coefficient e off slot e // alpha of color e % alpha's total.
 
     A distribution is one int, its value at x = 2^w with w the bit length of
-    alpha^n_max * n_max!: coefficient k is bits [k*w, (k+1)*w).  Every slot
-    counts at most that many colored suffixes, so sums never carry, and a
-    total less a prefix sum of its own ranks never borrows.
+    the size ``_admit`` returns, the domain's at n_max: coefficient k is bits
+    [k*w, (k+1)*w).  Every slot counts colored suffixes of that domain, so
+    it holds at most the domain's size and sums never carry, and a total
+    less a prefix sum of its own ranks never borrows.
     """
-    _admit(alpha, n_max, beta, cap)
-    w = full_cardinality(alpha, n_max).bit_length()
+    w = _admit(alpha, n_max, beta, cap).bit_length()
     mask = (1 << w) - 1
     flag = statistic == STAT_FLAG
     # states[c][r], seeded with the domain's last entry.
@@ -385,38 +389,39 @@ def flag_table(alpha: int, n_max: int, cap: int | None = None,
 # ---------------------------------------------------------------------------
 # Identity verifiers
 
-def _descent_classes(n: int, key=_descent_mask) -> list[tuple]:
-    """One walk of the n! windows in lex order, grouped by ``key`` of the
-    window, by default its descent set (``_descent_mask``): (first window,
-    class size) per class, in order of first appearance.  Every subset of
-    {1..n-1} is a descent set, so there are 2^(n-1) descent classes."""
+def _descent_classes(items, key) -> list[tuple]:
+    """One walk of ``items``, grouped by ``key`` of each: (first item, class
+    size) per class, in order of first appearance.  The verifiers pass the
+    n! windows in lex order, keyed by their descent set (``_descent_mask``)
+    or with their reversals by both descent sets; every subset of {1..n-1}
+    is a descent set, so either way there are 2^(n-1) classes."""
     classes: dict = {}
-    for window in _windows(n):
-        seen = classes.setdefault(key(window), [window, 0])
+    for item in items:
+        seen = classes.setdefault(key(item), [item, 0])
         seen[1] += 1
     return [tuple(seen) for seen in classes.values()]
 
 
 def verify_symmetry(alpha: int, n: int, cap: int | None = None) -> Verification:
     """Pointwise flag(w) + flag(r(w)) = alpha*(n-1) over the quotient, plus
-    palindromicity of the flag polynomial.  The flag sum reads the window
-    only through the pair (D(w), D(r(w))), so one walk groups the windows
-    by that pair, and each (group, coloring) is checked at the group's first
-    window; the partner's colors are computed once per coloring.  The first
-    failing check names the first failing element in (colors, window)
-    order."""
-    _admit(alpha, n, 0, cap)
+    palindromicity of the flag polynomial.  The polynomial is built first,
+    and its build admits the quotient.  The flag sum reads the window only
+    through the pair (D(w), D(r(w))), so one walk reverses each window once
+    and groups the (window, reversal) pairs by their descent sets, and each
+    (group, coloring) is checked at the group's first pair; the partner's
+    colors are computed once per coloring.  The first failing check names
+    the first failing element in (colors, window) order, and the palindrome
+    is checked only after every pointwise check holds."""
+    report = flag_eulerian_quotient(alpha, n, cap=cap)
     target = alpha * (n - 1)
-    classes = _descent_classes(
-        n, lambda w: (_descent_mask(w), _descent_mask(_reversed_window(w))))
-    pairs = [(window, _reversed_window(window)) for window, _ in classes]
+    classes = _descent_classes(((w, _reversed_window(w)) for w in _windows(n)),
+                               lambda pair: tuple(map(_descent_mask, pair)))
     for colors in _colorings(alpha, n, 0):
         partner = _reversed_colors(alpha, colors)
-        for window, partner_window in pairs:
+        for (window, partner_window), _ in classes:
             if _flag(alpha, window, colors) + _flag(alpha, partner_window, partner) != target:
                 return Verification(False, f"flag(w) + flag(r(w)) != {target}",
                                     ColoredPermutation._trusted(alpha, window, colors))
-    report = flag_eulerian_quotient(alpha, n, cap=cap)
     if not report.palindromic:
         return Verification(False, "flag polynomial is not palindromic")
     return Verification(
@@ -432,7 +437,7 @@ def verify_involution(alpha: int, n: int, cap: int | None = None) -> Verificatio
     one pass over the colorings checks each once and stops at the first
     coloring if a window fails, and the failing element's window is the
     identity exactly when its coloring fails its own check."""
-    _admit(alpha, n, 0, cap)
+    size = _admit(alpha, n, 0, cap)
     window = next((window for window in _windows(n)
                    if _reversed_window(_reversed_window(window)) != window), None)
     for colors in _colorings(alpha, n, 0):
@@ -442,7 +447,7 @@ def verify_involution(alpha: int, n: int, cap: int | None = None) -> Verificatio
             return Verification(False, "r(r(w)) != w",
                                 ColoredPermutation._trusted(alpha, window, colors))
     return Verification(
-        True, f"reversal is an involution on {quotient_cardinality(alpha, n)} elements")
+        True, f"reversal is an involution on {size} elements")
 
 
 def _against_eulerian(lhs: IntPolynomial, power: int, n: int,
@@ -496,7 +501,7 @@ def verify_coset_invariance(alpha: int, n: int, cap: int | None = None) -> Verif
     is O(2^n * n + alpha * n), never O(elements)."""
     _admit(alpha, n, None, cap)
     expected = colored_eulerian(alpha, n, cap=cap).polynomial
-    classes = _descent_classes(n)
+    classes = _descent_classes(_windows(n), _descent_mask)
     identity = tuple(range(1, n + 1))
     coeffs = [0] * n
     for colors in _colorings(alpha, n, 0):
