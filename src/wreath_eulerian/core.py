@@ -104,8 +104,6 @@ def _require_permutation(name: str, values) -> None:
 
 def _shift_colors(alpha: int, colors: tuple, shift: int) -> tuple:
     """The constant color shift: every color plus ``shift``, mod alpha."""
-    if not shift:
-        return colors
     return tuple([(c + shift) % alpha for c in colors])
 
 

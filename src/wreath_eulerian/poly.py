@@ -380,7 +380,7 @@ def is_real_rooted(p: IntPolynomial) -> bool:
     k = 0
     while c[k] == 0:
         k += 1
-    q = c[k:] if k else c
+    q = c[k:]
     if len(q) > 2 and _newton_breaks(q, (len(q) - 1) // 2):
         return False
     if q == q[::-1] and _sign_change_points(_palindromic_reduction(q)) is not None:

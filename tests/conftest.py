@@ -37,6 +37,31 @@ def stream_distribution(alpha: int, n: int, statistic: str,
     return tuple(counts.get(k, 0) for k in range(degree + 1))
 
 
+def record(monkeypatch, owner, name):
+    """Swaps ``owner.name`` for a wrapper that calls it and appends
+    ``(args, result)`` to the list it returns: how a test pins which private
+    step a route takes, and with what."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def refuse(reason):
+    """A stand-in that raises ``AssertionError(reason)`` when called: how a
+    test pins a step that a route must not take."""
+    def refused(*args):
+        raise AssertionError(reason)
+
+    return refused
+
+
 @pytest.fixture
 def default_digit_limit():
     """Python's default limit of 4,300 digits on int-str conversion for the

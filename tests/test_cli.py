@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import record, refuse
 
 from wreath_eulerian import IntPolynomial, StatReport, cli, enumeration
 from wreath_eulerian.cli import main
@@ -124,14 +125,7 @@ class TestSweepCommands:
         ("verify", "product-identity", "--max-k", "3"),
     ])
     def test_one_transfer_matrix_pass(self, capsys, monkeypatch, argv):
-        calls = []
-        rows = enumeration._rows
-
-        def counted(*args):
-            calls.append(args)
-            return rows(*args)
-
-        monkeypatch.setattr(enumeration, "_rows", counted)
+        calls = record(monkeypatch, enumeration, "_rows")
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert len(calls) == 1
@@ -300,23 +294,32 @@ class TestExactOutput:
     ])
     def test_coefficient_renderings_compute_no_verdict(
             self, capsys, monkeypatch, argv):
-        def refuse(polynomial):
-            raise AssertionError("shape verdict computed")
-
         for name in ("is_palindromic", "is_unimodal", "is_real_rooted"):
-            monkeypatch.setattr(enumeration, name, refuse)
+            monkeypatch.setattr(enumeration, name, refuse("shape verdict computed"))
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out
 
 
 class TestDeterminism:
-    def test_thread_count_does_not_change_output(self, capsys):
+    # Every command in each format it accepts; verify prints text only.
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param((*command, "--format", form), id=f"{command[0]}-{form}")
+          for command in [
+              ("poly", "--alpha", "2", "--n", "5", "--stat", "flag", "--domain", "quotient"),
+              ("table", "--alpha", "2", "--max-n", "5"),
+              ("report", "--alpha", "2", "--max-n", "5")]
+          for form in ("text", "json", "csv")),
+        *(pytest.param(("verify", *target), id=f"verify-{target[0]}") for target in [
+            ("symmetry", "--alpha", "2", "--n", "4"),
+            ("product-identity", "--max-k", "3"),
+            ("abr-identity", "--max-n", "5"),
+            ("coset-invariance", "--alpha", "3", "--n", "3"),
+            ("involution", "--alpha", "2", "--n", "4")])])
+    def test_thread_count_does_not_change_output(self, capsys, argv):
         outputs = []
         for threads in ("1", "2", "4"):
-            code, out, _ = run(capsys, "poly", "--alpha", "2", "--n", "5",
-                               "--stat", "flag", "--domain", "quotient",
-                               "--format", "json", "--threads", threads)
+            code, out, _ = run(capsys, *argv, "--threads", threads)
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]

@@ -5,7 +5,7 @@ import tracemalloc
 import weakref
 
 import pytest
-from conftest import decimal_and_int, stream_distribution
+from conftest import decimal_and_int, record, refuse, stream_distribution
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -219,24 +219,16 @@ class TestUncheckedConstruction:
 
     def test_coset_shifts(self, monkeypatch):
         # The verifier canonicalizes each color shift it builds, once per
-        # shifted coloring, so a recording canonicalization kernel sees
+        # shifted coloring, so the recorded canonicalization kernel sees
         # every shift and every result: each coloring whose last color is
         # not 0, and its coset representative's coloring.
-        canonical_colors = enumeration._canonical_colors
-        calls = 0
-
-        def recording(alpha, colors):
-            nonlocal calls
-            rep = canonical_colors(alpha, colors)
-            assert_valid_colors(alpha, colors)
-            assert_valid_colors(alpha, rep)
-            calls += 1
-            return rep
-
-        monkeypatch.setattr(enumeration, "_canonical_colors", recording)
+        calls = record(monkeypatch, enumeration, "_canonical_colors")
         for alpha, n in self.SIZES:
             assert verify_coset_invariance(alpha, n).ok
-        assert calls == sum((alpha - 1) * alpha ** (n - 1) for alpha, n in self.SIZES)
+        for (alpha, colors), rep in calls:
+            assert_valid_colors(alpha, colors)
+            assert_valid_colors(alpha, rep)
+        assert len(calls) == sum((alpha - 1) * alpha ** (n - 1) for alpha, n in self.SIZES)
 
     def test_public_construction_stays_checked(self):
         assert not [name for name in wreath_eulerian.__all__ if "trusted" in name]
@@ -334,10 +326,16 @@ class TestPolynomials:
         assert report.polynomial.nominal_degree == 3 * 2 + 2
         assert report.cardinality == quotient_cardinality(3, 3)
 
-    def test_parallel_matches_sequential(self):
-        seq = flag_eulerian_quotient(2, 7, workers=1)
-        par = flag_eulerian_quotient(2, 7, workers=4)
-        assert seq == par
+    @pytest.mark.parametrize("build,args", [
+        pytest.param(build, args, id=build.__name__) for build, args in [
+            (colored_eulerian, (3, 4)),
+            (flag_eulerian_quotient, (2, 7)),
+            (flag_eulerian_full, (3, 4)),
+            (stat_report, (3, 4, "colored-descent", "fixed", 2)),
+            (flag_table, (2, 7))]])
+    def test_parallel_matches_sequential(self, build, args):
+        # workers= is accepted by every builder and changes no result.
+        assert build(*args, workers=1) == build(*args, workers=4)
 
     @settings(max_examples=40, deadline=None)
     @given(alpha=st.integers(1, 4), n=st.integers(1, 5),
@@ -451,22 +449,13 @@ class TestSweeps:
     cap refuses it on its largest domain."""
 
     def test_one_pass_per_sweep(self, monkeypatch):
-        calls = []
-        rows = enumeration._rows
-
-        def counted(*args):
-            calls.append(args[:2])
-            return rows(*args)
-
-        monkeypatch.setattr(enumeration, "_rows", counted)
+        calls = record(monkeypatch, enumeration, "_rows")
         assert len(flag_table(2, 6)) == 6
-        assert calls == [(2, 6)]
         assert len(verify_abr_identity(5)) == 5
-        assert calls[1:] == [(2, 5)]
         assert len(verify_product_identity(3)) == 3
-        assert calls[2:] == [(2, 7)]
         assert flag_eulerian_quotient(2, 4).cardinality == 192
-        assert calls[3:] == [(2, 4)]
+        # One pass each, in call order, sized for the sweep's largest n.
+        assert [args[:2] for args, _ in calls] == [(2, 6), (2, 5), (2, 7), (2, 4)]
 
     def test_a_build_holds_one_row(self, monkeypatch):
         # A stand-in pass checks, as it makes row k, that row k - 2 is gone.
@@ -700,10 +689,7 @@ class TestVerifiers:
     def test_verdicts_are_computed_when_read(self, monkeypatch):
         # The table and the identity verifiers compare coefficients only,
         # so none of them may run a Sturm chain.
-        def refuse(polynomial):
-            raise AssertionError("is_real_rooted called")
-
-        monkeypatch.setattr(enumeration, "is_real_rooted", refuse)
+        monkeypatch.setattr(enumeration, "is_real_rooted", refuse("is_real_rooted called"))
         assert len(flag_table(2, 6)) == 6
         assert all(r.ok for r in verify_product_identity(3))
         assert all(r.ok for r in verify_abr_identity(5))
@@ -764,14 +750,8 @@ class TestKernels:
         # walk that pairs it with its reversal and keys the pair by both
         # descent sets; each class keeps its first pair, so no window is
         # reversed again.  Involution checks each half on its own factor.
-        calls = dict.fromkeys(("_flag", "_descents", "_reversed_window",
-                               "_reversed_colors"), 0)
-        for name in calls:
-            def recording(*fields, name=name, kernel=getattr(enumeration, name)):
-                calls[name] += 1
-                return kernel(*fields)
-
-            monkeypatch.setattr(enumeration, name, recording)
+        calls = [record(monkeypatch, enumeration, name) for name in (
+            "_flag", "_descents", "_reversed_window", "_reversed_colors")]
         for alpha, n in TestUncheckedConstruction.SIZES:
             windows, colorings = math.factorial(n), alpha ** (n - 1)
             checks = 2 ** (n - 1) * colorings
@@ -779,9 +759,10 @@ class TestKernels:
                     (verify_symmetry, (2 * checks, 0, windows, colorings)),
                     (verify_involution, (0, 0, 2 * windows, 2 * colorings)),
                     (verify_coset_invariance, (0, alpha * checks, 0, 0))]:
-                calls.update(dict.fromkeys(calls, 0))
+                for kernel_calls in calls:
+                    del kernel_calls[:]
                 assert verify(alpha, n).ok
-                assert tuple(calls.values()) == expected, (verify.__name__, alpha, n)
+                assert tuple(map(len, calls)) == expected, (verify.__name__, alpha, n)
 
     @pytest.mark.parametrize("verify,kernels,broken", KERNEL_FAULTS)
     def test_broken_kernel_counterexample_is_checked(self, monkeypatch, verify,

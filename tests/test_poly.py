@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from conftest import record, refuse
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -311,29 +312,13 @@ class TestRealRootedness:
         assert not is_real_rooted(p * IntPolynomial((k, 0, 1)))
 
 
-#: The Sturm chain, kept before any test wraps it.
-SQUARE_FREE_CHAIN = poly._square_free_chain
-
-
-def record_chains(monkeypatch):
-    """Records the rest that each Sturm chain reads, in a list it returns."""
-    chains = []
-
-    def record(c):
-        chains.append(list(c))
-        return SQUARE_FREE_CHAIN(c)
-
-    monkeypatch.setattr(poly, "_square_free_chain", record)
-    return chains
-
-
 def chain_only(monkeypatch):
     """Switches off both fast routes of is_real_rooted, Newton's middle
     inequality and the sign-change certificate, so the Sturm chain of the
-    rest decides every verdict.  Returns the rests that reach the chain."""
+    rest decides every verdict.  Returns the recorded chain calls."""
     monkeypatch.setattr(poly, "_newton_breaks", lambda c, k: False)
     monkeypatch.setattr(poly, "_sign_change_points", lambda p: None)
-    return record_chains(monkeypatch)
+    return record(monkeypatch, poly, "_square_free_chain")
 
 
 #: Inputs with a palindromic rest, some with roots on the unit circle.
@@ -460,7 +445,7 @@ class TestReductions:
         chains = chain_only(monkeypatch)
         p = IntPolynomial(coeffs)
         assert is_real_rooted(p) == expected
-        assert chains == [x_free_rest(p)]
+        assert [q for (q,), _ in chains] == [x_free_rest(p)]
 
     @pytest.mark.parametrize("coeffs,expected", [
         ((-1, 0, 1), True),            # (x - 1)(x + 1): rest x - 1
@@ -469,10 +454,8 @@ class TestReductions:
     ])
     def test_anti_palindromic_rest_takes_the_direct_chain(
             self, monkeypatch, coeffs, expected):
-        def refuse(c):
-            raise AssertionError("palindromic reduction of a non-palindrome")
-
-        monkeypatch.setattr(poly, "_palindromic_reduction", refuse)
+        monkeypatch.setattr(poly, "_palindromic_reduction",
+                            refuse("palindromic reduction of a non-palindrome"))
         assert is_real_rooted(IntPolynomial(coeffs)) == expected
 
     @given(small_polys)
@@ -638,20 +621,9 @@ class TestRoutes:
     @pytest.fixture
     def routes(self, monkeypatch):
         """Refuses the Sturm chain; records every certificate search as
-        (P, points)."""
-        seen = {"certificates": []}
-        search = poly._sign_change_points
-
-        def refuse(c):
-            raise AssertionError("Sturm chain built")
-
-        def record_search(P):
-            seen["certificates"].append((P, search(P)))
-            return seen["certificates"][-1][1]
-
-        monkeypatch.setattr(poly, "_square_free_chain", refuse)
-        monkeypatch.setattr(poly, "_sign_change_points", record_search)
-        return seen
+        ((P,), points)."""
+        monkeypatch.setattr(poly, "_square_free_chain", refuse("Sturm chain built"))
+        return record(monkeypatch, poly, "_sign_change_points")
 
     @pytest.mark.parametrize("alpha", [1, 2])
     @pytest.mark.parametrize("beta", [0, None, "last"],
@@ -660,9 +632,9 @@ class TestRoutes:
         if beta == "last":
             beta = alpha - 1
         for p in flag_rows(alpha, 60, beta):
-            del routes["certificates"][:]
+            del routes[:]
             assert is_real_rooted(p)
-            [(P, points)] = routes["certificates"]
+            [((P,), points)] = routes
             check_certificate(p, P, points)
             # At most one round of midpoints refines the seeds.
             assert set(numerators(points)) <= set(refined(seeds(P, points)))
@@ -674,12 +646,12 @@ class TestRoutes:
         # Each is certified, with no chain.
         for p in rows:
             assert is_real_rooted(p)
-        assert len(routes["certificates"]) == 160
-        assert None not in [points for _, points in routes["certificates"]]
+        assert len(routes) == 160
+        assert None not in [points for _, points in routes]
 
     @pytest.mark.parametrize("alpha", range(3, 8))
     def test_newton_rejects_every_row_past_one_above_alpha_two(
-            self, routes, monkeypatch, alpha):
+            self, monkeypatch, alpha):
         # Past n = 1 on the quotient and on last color alpha - 1, and from
         # n = 1 on the full group, whose n = 1 row is [alpha]_x.
         rows = (flag_rows(alpha, 30)[1:] + flag_rows(alpha, 30, None)
@@ -689,13 +661,14 @@ class TestRoutes:
         # The middle inequality rejects all but the (3, 3) pair, whose
         # searches find no points; those two rows, and only those, reach
         # the chain, which rejects them.
-        chains = record_chains(monkeypatch)
+        chains = record(monkeypatch, poly, "_square_free_chain")
+        certificates = record(monkeypatch, poly, "_sign_change_points")
         for p in rows:
             assert not is_real_rooted(p)
         pair = ([x_free_rest(flag_rows(3, 30, beta)[2]) for beta in (0, 2)]
                 if alpha == 3 else [])
-        assert chains == pair
-        assert [points for _, points in routes["certificates"]] == [None] * len(pair)
+        assert [q for (q,), _ in chains] == pair
+        assert [points for _, points in certificates] == [None] * len(pair)
 
     @pytest.mark.parametrize("alpha", range(3, 8))
     def test_the_middle_inequality_rejects_all_but_the_three_three_pair(
@@ -752,7 +725,7 @@ class TestRoutes:
             beta = alpha - 1
         for p in flag_rows(alpha, 60, beta)[:36]:
             assert is_real_rooted(p)
-        for P, points in routes["certificates"]:
+        for (P,), points in routes:
             check_points(P, points)
             assert numerators(points) == seeds(P, points)
 
@@ -781,25 +754,19 @@ class TestRoutes:
         assert not any(newton_fails(x_free_rest(p)) for p in rows)
         # The chain reads each rest at most once, as it is, and never a
         # certified one.
-        search, found = poly._sign_change_points, []
-
-        def record_search(P):
-            found.append(search(P))
-            return found[-1]
-
-        chains = record_chains(monkeypatch)
-        monkeypatch.setattr(poly, "_sign_change_points", record_search)
+        chains = record(monkeypatch, poly, "_square_free_chain")
+        found = record(monkeypatch, poly, "_sign_change_points")
         for p in rows:
             del chains[:], found[:]
             assert is_real_rooted(p)
-            certified = found != [] and found[-1] is not None
-            assert chains == ([] if certified else [x_free_rest(p)])
+            certified = found != [] and found[-1][1] is not None
+            assert [q for (q,), _ in chains] == ([] if certified else [x_free_rest(p)])
 
     def test_certificate_reaches_the_quotient_rows_101_to_150(self, routes):
         for p in flag_rows(2, 150)[100:]:
             assert is_real_rooted(p)
-        assert len(routes["certificates"]) == 50
-        for P, points in routes["certificates"][::10]:
+        assert len(routes) == 50
+        for (P,), points in routes[::10]:
             check_points(P, points)
 
     @given(st.one_of(palindromes(8, 16),
@@ -812,12 +779,12 @@ class TestRoutes:
         r[0], r[-1] = r[0] or 1, r[-1] or 1
         p = IntPolynomial((0,) * k + tuple(r)) * binomial_power(j)
         with pytest.MonkeyPatch.context() as patch:
-            calls = record_chains(patch)
+            calls = record(patch, poly, "_square_free_chain")
             verdict = is_real_rooted(p)
         rest = list(p.coefficients[k:])
         settled = middle_breaks(rest) or rest == rest[::-1] and (
             poly._sign_change_points(poly._palindromic_reduction(rest)) is not None)
-        assert calls == ([] if settled else [rest])
+        assert [q for (q,), _ in calls] == ([] if settled else [rest])
         assert verdict == chain_verdict(p)
 
     @given(st.lists(st.integers(-50, 50), min_size=3, max_size=12))
@@ -827,22 +794,13 @@ class TestRoutes:
         # reduction and no chain.
         c[0], c[-1] = c[0] or 1, c[-1] or 1
         p = IntPolynomial(tuple(c))
-        breaks, reads = poly._newton_breaks, []
-
-        def record(q, k):
-            reads.append((list(q), k))
-            return breaks(q, k)
-
-        def refuse(*args):
-            raise AssertionError("read past the middle inequality")
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(poly, "_newton_breaks", record)
+            reads = record(patch, poly, "_newton_breaks")
             if middle_breaks(c):
                 for name in ("_palindromic_reduction", "_square_free_chain"):
-                    patch.setattr(poly, name, refuse)
+                    patch.setattr(poly, name, refuse("read past the middle inequality"))
             verdict = is_real_rooted(p)
-        assert reads == [(c, (len(c) - 1) // 2)]
+        assert [args for args, _ in reads] == [(c, (len(c) - 1) // 2)]
         assert verdict == chain_verdict(p)
 
     def test_newton_inequalities_by_hand(self):
@@ -895,7 +853,7 @@ class TestRoutes:
         assert [is_real_rooted(p) for p in rows] == theorem
         chains = chain_only(monkeypatch)
         assert [is_real_rooted(p) for p in rows[:20]] == theorem[:20]
-        assert chains == [x_free_rest(p) for p in rows[:20]]
+        assert [q for (q,), _ in chains] == [x_free_rest(p) for p in rows[:20]]
 
     @pytest.mark.parametrize("alpha,n_max", [
         (1, 40), (2, 40), (3, 20), (4, 20), (5, 20), (6, 20), (7, 20)])
