@@ -48,7 +48,7 @@ count() {
 }
 
 "${cli[@]}" --help
-# Every run imports the CLI, so it must not pull in the six modules that
+# Every run imports the CLI, so it must not pull in the seven modules that
 # tier-1's TestStartup names; tier-1 checks this for src/, here it is the
 # installed copy.  Only what the import adds counts: site may load typing
 # itself, and -S would drop the site-packages that hold the installed copy.
@@ -58,7 +58,7 @@ count() {
 python -c "import sys
 before = set(sys.modules)
 import wreath_eulerian.cli
-heavy = ('dataclasses', 'inspect', 'typing', 'fractions', 'decimal', 'csv')
+heavy = ('dataclasses', 'inspect', 'typing', 'fractions', 'decimal', 'csv', 'json')
 loaded = [m for m in heavy if m in sys.modules and m not in before]
 assert not loaded, f'importing wreath_eulerian.cli loaded {loaded}'
 import wreath_eulerian as w

@@ -17,11 +17,14 @@ Exit codes: 0 success/verified, 1 verification counterexample, 2 usage
 error (including an invalid ``--cap`` or ``WREATH_CAP``, an ``--out``
 path that cannot be written and a stdout that its reader closed), 3
 resource-cap refusal.
+
+:func:`run` is the process entry point, for the console script and
+``python -m``; :func:`main` is the in-process call.
 """
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
 
@@ -47,6 +50,7 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 _STAT_NAMES = {"descent": STAT_DESCENT, "flag": STAT_FLAG}
+_COMMANDS = ("poly", "table", "verify", "report")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,7 +72,12 @@ def _sweep_bound(text: str) -> int:
     return bound
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str] | None) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Only the command that ``argv[0]`` names is
+    registered, since one process parses one command line; when it names
+    none, or ``argv`` is None, all four are, so that ``--help`` and every
+    usage error print what the full parser prints."""
+    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     parser = _Parser(
         prog="wreath-eulerian",
         description="Descent statistics on colored permutation groups "
@@ -88,43 +97,47 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None,
                        help="write output to this path instead of stdout")
 
-    p = sub.add_parser("poly", help="one statistic polynomial")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--stat", choices=("descent", "flag"), default="flag")
-    p.add_argument("--domain", choices=("quotient", "full", "fixed"),
-                   default="quotient")
-    p.add_argument("--beta", type=int, default=0,
-                   help="last color for --domain fixed")
-    common(p, _run_poly)
+    if "poly" in named:
+        p = sub.add_parser("poly", help="one statistic polynomial")
+        p.add_argument("--alpha", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--stat", choices=("descent", "flag"), default="flag")
+        p.add_argument("--domain", choices=("quotient", "full", "fixed"),
+                       default="quotient")
+        p.add_argument("--beta", type=int, default=0,
+                       help="last color for --domain fixed")
+        common(p, _run_poly)
 
-    p = sub.add_parser("table", help="flag count table over the quotient")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--max-n", type=_sweep_bound, required=True)
-    common(p, _run_table)
+    if "table" in named:
+        p = sub.add_parser("table", help="flag count table over the quotient")
+        p.add_argument("--alpha", type=int, required=True)
+        p.add_argument("--max-n", type=_sweep_bound, required=True)
+        common(p, _run_table)
 
     # Each verify target takes only the flags its verifier reads, in argument
     # order.  Built per call, because perfbench/spans.py's install rebinds
     # cli.verify_* after import and the table must use the rebound names.
-    targets = sub.add_parser("verify", help="identity verification sweeps"
-                             ).add_subparsers(dest="target", required=True)
-    walk = {"--alpha": int, "--n": int}
-    for target, verifier, flags in (
-            ("symmetry", verify_symmetry, walk),
-            ("product-identity", verify_product_identity, {"--max-k": _sweep_bound}),
-            ("abr-identity", verify_abr_identity, {"--max-n": _sweep_bound}),
-            ("coset-invariance", verify_coset_invariance, walk),
-            ("involution", verify_involution, walk)):
-        p = targets.add_parser(target)
-        p.set_defaults(verifier=verifier, reads=[p.add_argument(
-            flag, type=kind, required=True).dest for flag, kind in flags.items()])
-        common(p, _run_verify, formats=("text",))
+    if "verify" in named:
+        targets = sub.add_parser("verify", help="identity verification sweeps"
+                                 ).add_subparsers(dest="target", required=True)
+        walk = {"--alpha": int, "--n": int}
+        for target, verifier, flags in (
+                ("symmetry", verify_symmetry, walk),
+                ("product-identity", verify_product_identity, {"--max-k": _sweep_bound}),
+                ("abr-identity", verify_abr_identity, {"--max-n": _sweep_bound}),
+                ("coset-invariance", verify_coset_invariance, walk),
+                ("involution", verify_involution, walk)):
+            p = targets.add_parser(target)
+            p.set_defaults(verifier=verifier, reads=[p.add_argument(
+                flag, type=kind, required=True).dest for flag, kind in flags.items()])
+            common(p, _run_verify, formats=("text",))
 
-    p = sub.add_parser("report", help="shape verdicts for the flag "
-                                      "polynomial over the quotient")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--max-n", type=_sweep_bound, required=True)
-    common(p, _run_report)
+    if "report" in named:
+        p = sub.add_parser("report", help="shape verdicts for the flag "
+                                          "polynomial over the quotient")
+        p.add_argument("--alpha", type=int, required=True)
+        p.add_argument("--max-n", type=_sweep_bound, required=True)
+        common(p, _run_report)
     return parser
 
 
@@ -160,9 +173,16 @@ _SHAPE_KEYS = ("degree", "cardinality", "palindromic", "unimodal",
 _ROW_KEYS = ("alpha", "n", *_SHAPE_KEYS)
 
 
+def _json(value) -> str:
+    # Imported here, not at module level: only the json format pays for it.
+    import json
+
+    return json.dumps(value) + "\n"
+
+
 def _sweep_json(args, rows: list[dict]) -> str:
-    return json.dumps({"command": args.command, "alpha": args.alpha,
-                       "max_n": args.max_n, "rows": rows}) + "\n"
+    return _json({"command": args.command, "alpha": args.alpha,
+                  "max_n": args.max_n, "rows": rows})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -187,7 +207,7 @@ def _run_poly(args) -> tuple[str, int]:
                     enumerate(report.polynomial.coefficients)), EXIT_OK
     record = _record("poly", report, args.stat)
     if args.format == "json":
-        return json.dumps(record) + "\n", EXIT_OK
+        return _json(record), EXIT_OK
     lines = [f"coefficients: {report.polynomial}"]
     lines += [f"{key}: {str(record[key]).lower()}" for key in _SHAPE_KEYS]
     return "\n".join(lines) + "\n", EXIT_OK
@@ -239,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
         sys.set_int_max_str_digits(0)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         text, status = args.run(args)
         _emit(text, args.out)
         return status
@@ -262,5 +282,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """The process entry point: :func:`main` on ``sys.argv``, then exit with
+    its status.  Freezing first moves every object alive at that point into
+    the permanent generation, so the collections at interpreter exit skip
+    objects that die with the process anyway.  Nothing needs the collector
+    to finish: ``main`` closes what it opens, and the interpreter flushes
+    stdout and stderr itself."""
+    status = main(sys.argv[1:])
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -13,7 +13,8 @@ length, a token of :func:`parse` or a ``WREATH_CAP``.  ``_require_int``
 ``_require_permutation`` (a window, a matrix's rows) check parameters.
 Every public entry point checks its arguments through them, so a value
 that is not an int, or is a bool, is a :class:`ValidationError` like one
-out of range.
+out of range.  An operand of another class is a ``TypeError``: the
+products return ``NotImplemented``, and ``same_coset`` raises it.
 
 Public construction is always checked: :func:`validate`, :func:`parse`, a
 direct ``ColoredPermutation(...)``, the group product and the inverse.  The
@@ -215,6 +216,8 @@ class ColoredPermutation(_Record):
         """Group product: entry i of ``self * other`` is self applied to
         other's i-th entry, with other's color added to the color self
         carries at that entry (mod alpha)."""
+        if not isinstance(other, ColoredPermutation):
+            return NotImplemented
         self._check_compatible(other)
         w, c, a = self.window, self.colors, self.alpha
         window = tuple(w[y - 1] for y in other.window)
@@ -245,6 +248,8 @@ class ColoredPermutation(_Record):
 
     def same_coset(self, other: "ColoredPermutation") -> bool:
         """True iff the two elements differ by a constant color shift."""
+        if not isinstance(other, ColoredPermutation):
+            raise TypeError(f"not a ColoredPermutation: {type(other).__name__}")
         self._check_compatible(other)
         a = self.alpha
         return (self.window == other.window and
@@ -290,6 +295,8 @@ class GenPermMatrix(_Record):
         super().__init__(alpha, size, entries)
 
     def __mul__(self, other: "GenPermMatrix") -> "GenPermMatrix":
+        if not isinstance(other, GenPermMatrix):
+            return NotImplemented
         if self.alpha != other.alpha or self.size != other.size:
             raise ValidationError("matrix parameter mismatch")
         a = self.alpha

@@ -78,6 +78,8 @@ class IntPolynomial(_Record):
         return all(c == 0 for c in self.coefficients)
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
             a, b = b, a
@@ -87,6 +89,8 @@ class IntPolynomial(_Record):
         return IntPolynomial(tuple(out))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         a, b = self.coefficients, other.coefficients
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):

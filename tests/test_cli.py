@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -9,6 +10,8 @@ from conftest import record, refuse
 
 from wreath_eulerian import IntPolynomial, StatReport, cli, enumeration
 from wreath_eulerian.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -332,10 +335,8 @@ def run_process(cwd, *argv, cap_env=None, stdout=subprocess.PIPE):
     env.pop("WREATH_CAP", None)
     if cap_env is not None:
         env["WREATH_CAP"] = cap_env
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "wreath_eulerian.cli", *argv], stdout=stdout,
         stderr=subprocess.PIPE, text=True, env=env, cwd=cwd, timeout=60)
@@ -386,16 +387,58 @@ class TestStartup:
     def test_import_loads_no_heavy_modules(self, tmp_path):
         """Every run imports the CLI, so what that import pulls in is paid
         by every process.  -S keeps site's own imports out of the count."""
-        heavy = ("dataclasses", "inspect", "typing", "fractions", "decimal", "csv")
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
+        heavy = ("dataclasses", "inspect", "typing", "fractions", "decimal", "csv",
+                 "json")
+        env = dict(os.environ, PYTHONPATH=SRC)
         code = ("import sys, wreath_eulerian.cli; "
                 f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, env=env, cwd=tmp_path, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    @pytest.mark.parametrize("argv,status", [
+        (("poly", "--alpha", "2", "--n", "3"), 0),
+        (("poly", "--alpha", "0", "--n", "2"), 2),
+        (("poly", "--alpha", "2", "--n", "4", "--cap", "0"), 3),
+    ], ids=["ok", "usage", "cap"])
+    def test_run_exits_with_the_status_of_main_after_freezing(self, tmp_path, argv,
+                                                              status):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("WREATH_CAP", None)
+        code = ("import atexit, gc, sys\n"
+                "from wreath_eulerian import cli\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,"
+                " file=sys.stderr))\n"
+                f"sys.argv = ['wreath-eulerian', *{argv!r}]\n"
+                "cli.run()\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, cwd=tmp_path, timeout=60)
+        assert proc.returncode == status, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "frozen True"
+
+    def test_only_run_freezes(self, capsys, monkeypatch):
+        # A stand-in for gc.freeze: the real one would freeze this process.
+        before = gc.get_freeze_count()
+        monkeypatch.setattr(gc, "freeze", refuse("main froze the collector"))
+        assert run(capsys, "poly", "--alpha", "2", "--n", "3")[0] == 0
+        assert gc.get_freeze_count() == before
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(sys, "argv", ["wreath-eulerian", "poly", "--alpha", "0"])
+        with pytest.raises(SystemExit) as exit:
+            cli.run()
+        assert (exit.value.code, len(calls)) == (2, 1)
+
+    @pytest.mark.parametrize("argv", [("poly",), ("table",), ("report",), ("verify",),
+                                      ("verify", "symmetry")], ids=" ".join)
+    def test_named_command_parser_prints_the_full_help(self, capsys, argv):
+        helps = []
+        for named in (argv[:1], []):
+            with pytest.raises(SystemExit):
+                cli._build_parser(list(named)).parse_args([*argv, "--help"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] != ""
 
 
 class TestFailurePaths:

@@ -12,6 +12,7 @@ from wreath_eulerian import (
     ColoredPermutation,
     ColorSequence,
     GenPermMatrix,
+    IntPolynomial,
     ValidationError,
     binomial_power,
     classical_eulerian,
@@ -122,6 +123,19 @@ class TestMultiply:
             identity(2, 2) * identity(2, 3)
         with pytest.raises(ValidationError):
             identity(2, 2) * identity(3, 2)
+
+    @pytest.mark.parametrize("call", [
+        lambda: IntPolynomial((1,)) * 2,
+        lambda: IntPolynomial((1,)) + 2,
+        lambda: identity(2, 2) * 5,
+        lambda: identity(2, 2).to_matrix() * 3,
+        lambda: identity(2, 2).same_coset(3),
+    ], ids=["poly*int", "poly+int", "element*int", "matrix*int", "same_coset(int)"])
+    def test_another_type_is_a_type_error(self, call):
+        # The operators return NotImplemented, so Python raises; same_coset,
+        # a method, raises itself, as NotImplemented would read as true.
+        with pytest.raises(TypeError):
+            call()
 
     def test_generator_is_central(self):
         for alpha, n in [(2, 3), (3, 2), (4, 2)]:
