@@ -9,9 +9,11 @@ arbitrary precision survives JSON consumers.
 The library checks every parameter and resolves the cap (``--cap``, else
 ``WREATH_CAP``, else the default); the parser checks only that a sweep
 (``--max-n``, ``--max-k``) has rows and gives each ``verify`` target only
-the flags it reads.  Each report renders from one record,
-:func:`_record`, which reads the shape verdicts once; each runner returns
-its text and exit status, and :func:`main` alone writes the text.
+the flags it reads.  One table in :func:`_build_parser` declares every
+command and ``verify`` target with its flags.  Each report renders from
+one record, :func:`_record`, which reads the shape verdicts once; each
+runner returns its text and exit status, and :func:`main` alone writes
+the text.
 
 Exit codes: 0 success/verified, 1 verification counterexample, 2 usage
 error (including an invalid ``--cap`` or ``WREATH_CAP``, an ``--out``
@@ -50,7 +52,6 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 _STAT_NAMES = {"descent": STAT_DESCENT, "flag": STAT_FLAG}
-_COMMANDS = ("poly", "table", "verify", "report")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,16 +78,18 @@ def _build_parser(argv: list[str] | None) -> argparse.ArgumentParser:
     registered, since one process parses one command line; when it names
     none, or ``argv`` is None, all four are, so that ``--help`` and every
     usage error print what the full parser prints."""
-    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    parser = _Parser(
-        prog="wreath-eulerian",
-        description="Descent statistics on colored permutation groups "
-                    "and their cyclic-shift quotients.")
+    parser = _Parser(prog="wreath-eulerian", description="Descent statistics on "
+                     "colored permutation groups and their cyclic-shift quotients.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, run,
-               formats=("text", "json", "csv")) -> None:
-        p.set_defaults(run=run)
+    def leaf(p: argparse.ArgumentParser, flags: dict,
+             formats=("text", "json", "csv"), **defaults) -> None:
+        # A command or verify target: its own flags, each required unless it
+        # has a default and listed by name in ``reads`` for _run_verify,
+        # then the flags that every leaf takes.
+        p.set_defaults(**defaults, reads=[p.add_argument(
+            flag, required="default" not in spec, **spec).dest
+            for flag, spec in flags.items()])
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--cap", type=int, default=None,
                        help="maximum element count (default from WREATH_CAP "
@@ -97,47 +100,40 @@ def _build_parser(argv: list[str] | None) -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None,
                        help="write output to this path instead of stdout")
 
-    if "poly" in named:
-        p = sub.add_parser("poly", help="one statistic polynomial")
-        p.add_argument("--alpha", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--stat", choices=("descent", "flag"), default="flag")
-        p.add_argument("--domain", choices=("quotient", "full", "fixed"),
-                       default="quotient")
-        p.add_argument("--beta", type=int, default=0,
-                       help="last color for --domain fixed")
-        common(p, _run_poly)
-
-    if "table" in named:
-        p = sub.add_parser("table", help="flag count table over the quotient")
-        p.add_argument("--alpha", type=int, required=True)
-        p.add_argument("--max-n", type=_sweep_bound, required=True)
-        common(p, _run_table)
-
-    # Each verify target takes only the flags its verifier reads, in argument
-    # order.  Built per call, because perfbench/spans.py's install rebinds
-    # cli.verify_* after import and the table must use the rebound names.
-    if "verify" in named:
-        targets = sub.add_parser("verify", help="identity verification sweeps"
-                                 ).add_subparsers(dest="target", required=True)
-        walk = {"--alpha": int, "--n": int}
-        for target, verifier, flags in (
-                ("symmetry", verify_symmetry, walk),
-                ("product-identity", verify_product_identity, {"--max-k": _sweep_bound}),
-                ("abr-identity", verify_abr_identity, {"--max-n": _sweep_bound}),
-                ("coset-invariance", verify_coset_invariance, walk),
-                ("involution", verify_involution, walk)):
-            p = targets.add_parser(target)
-            p.set_defaults(verifier=verifier, reads=[p.add_argument(
-                flag, type=kind, required=True).dest for flag, kind in flags.items()])
-            common(p, _run_verify, formats=("text",))
-
-    if "report" in named:
-        p = sub.add_parser("report", help="shape verdicts for the flag "
-                                          "polynomial over the quotient")
-        p.add_argument("--alpha", type=int, required=True)
-        p.add_argument("--max-n", type=_sweep_bound, required=True)
-        common(p, _run_report)
+    walk = {"--alpha": {"type": int}, "--n": {"type": int}}
+    sweep = {"--alpha": {"type": int}, "--max-n": {"type": _sweep_bound}}
+    # Each command's help, runner and flags in argument order.  verify has
+    # no runner of its own: its targets each take only the flags their
+    # verifier reads.  Built per call, because perfbench/spans.py's install
+    # rebinds cli.verify_* after import and the table must use those names.
+    commands = {
+        "poly": ("one statistic polynomial", _run_poly, {
+            **walk, "--stat": {"choices": tuple(_STAT_NAMES), "default": "flag"},
+            "--domain": {"choices": ("quotient", "full", "fixed"),
+                         "default": "quotient"},
+            "--beta": {"type": int, "default": 0,
+                       "help": "last color for --domain fixed"}}),
+        "table": ("flag count table over the quotient", _run_table, sweep),
+        "verify": ("identity verification sweeps", None, {
+            "symmetry": (verify_symmetry, walk),
+            "product-identity": (verify_product_identity,
+                                 {"--max-k": {"type": _sweep_bound}}),
+            "abr-identity": (verify_abr_identity, {"--max-n": {"type": _sweep_bound}}),
+            "coset-invariance": (verify_coset_invariance, walk),
+            "involution": (verify_involution, walk)}),
+        "report": ("shape verdicts for the flag polynomial over the quotient",
+                   _run_report, sweep),
+    }
+    for name in argv[:1] if argv and argv[0] in commands else commands:
+        about, run, flags = commands[name]
+        p = sub.add_parser(name, help=about)
+        if run:
+            leaf(p, flags, run=run)
+            continue
+        targets = p.add_subparsers(dest="target", required=True)
+        for target, (verifier, own) in flags.items():
+            leaf(targets.add_parser(target), own, ("text",), run=_run_verify,
+                 verifier=verifier)
     return parser
 
 
@@ -255,8 +251,11 @@ def main(argv: list[str] | None = None) -> int:
     # Python's limit on int-str conversion guards servers that parse
     # untrusted text.  The CLI reads only its own argv and environment, and
     # its domain sizes, caps and coefficients pass 4,300 digits at ordinary
-    # inputs, such as the (2, 1500) quotient.
-    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+    # inputs, such as the (2, 1500) quotient.  So main lifts the limit and
+    # puts it back on every way out: an in-process caller keeps its own.
+    # ``limit`` is None where Python has no limit (before 3.10.7).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
         args = _build_parser(argv).parse_args(argv)
@@ -280,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

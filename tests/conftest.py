@@ -65,8 +65,10 @@ def refuse(reason):
 @pytest.fixture
 def default_digit_limit():
     """Python's default limit of 4,300 digits on int-str conversion for the
-    test, restored after it.  The CLI lifts the limit for its process, so
-    without this an earlier in-process run would hide a conversion past it."""
+    test, restored after it, whatever limit the interpreter was started
+    with (``PYTHONINTMAXSTRDIGITS``, ``-X int_max_str_digits``).  ``main``
+    lifts the limit only while it runs, so the test sees the default on
+    both sides of an in-process run."""
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this Python has no int-str digit limit")
     before = sys.get_int_max_str_digits()

@@ -6,9 +6,14 @@ check the same bytes.
 """
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
+
+import pytest
+
+from wreath_eulerian import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -25,3 +30,14 @@ def test_installed_script_checks_pass_on_the_module_entry_point(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
     assert (tmp_path / "walk.txt").read_text().startswith("PASS ")
+
+
+def test_console_script_is_cli_run():
+    # The workflow's installed script is the only run of this entry; here
+    # the declared target is read and resolved instead.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["wreath-eulerian"]
+    assert target == "wreath_eulerian.cli:run"
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import math
@@ -328,6 +329,66 @@ class TestDeterminism:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+# Every leaf parser's options after -h, in order, as (flag, type, default,
+# choices, required), and what it runs: a command its runner, a verify
+# target _run_verify with its verifier.  argparse keeps a parser's actions,
+# -h first, in its _actions list; that is where the tests read them.
+ALPHA, N = ("--alpha", "int", None, None, True), ("--n", "int", None, None, True)
+MAX_N = ("--max-n", "_sweep_bound", None, None, True)
+
+
+def shared(formats):
+    return [("--format", None, "text", formats, False),
+            ("--cap", "int", None, None, False),
+            ("--threads", "int", 1, None, False),
+            ("--out", "str", None, None, False)]
+
+
+GRAMMAR = {
+    ("poly",): ("_run_poly", [
+        ALPHA, N,
+        ("--stat", None, "flag", ("descent", "flag"), False),
+        ("--domain", None, "quotient", ("quotient", "full", "fixed"), False),
+        ("--beta", "int", 0, None, False),
+        *shared(("text", "json", "csv"))]),
+    ("table",): ("_run_table", [ALPHA, MAX_N, *shared(("text", "json", "csv"))]),
+    ("report",): ("_run_report", [ALPHA, MAX_N, *shared(("text", "json", "csv"))]),
+    ("verify", "symmetry"): ("verify_symmetry", [ALPHA, N, *shared(("text",))]),
+    ("verify", "product-identity"): ("verify_product_identity", [
+        ("--max-k", "_sweep_bound", None, None, True), *shared(("text",))]),
+    ("verify", "abr-identity"): ("verify_abr_identity", [MAX_N, *shared(("text",))]),
+    ("verify", "coset-invariance"): ("verify_coset_invariance",
+                                     [ALPHA, N, *shared(("text",))]),
+    ("verify", "involution"): ("verify_involution", [ALPHA, N, *shared(("text",))]),
+}
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("path", GRAMMAR, ids=" ".join)
+    @pytest.mark.parametrize("named", [True, False], ids=["named", "full"])
+    def test_leaf_options(self, path, named):
+        parser = cli._build_parser(list(path[:1]) if named else [])
+        for name in path:
+            parser = next(action for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction)).choices[name]
+        got = [(action.option_strings[0], getattr(action.type, "__name__", None),
+                action.default, action.choices and tuple(action.choices), action.required)
+               for action in parser._actions[1:]]
+        assert got == GRAMMAR[path][1]
+
+    @pytest.mark.parametrize("path", GRAMMAR, ids=" ".join)
+    def test_leaf_runs_its_runner(self, path):
+        # The shortest command line the leaf accepts: each required flag once.
+        required = [flag for flag, *_, needed in GRAMMAR[path][1] if needed]
+        argv = [*path, *(token for flag in required for token in (flag, "1"))]
+        args = cli._build_parser(argv).parse_args(argv)
+        runner = getattr(cli, GRAMMAR[path][0])
+        if path[0] == "verify":
+            assert (args.run, args.verifier) == (cli._run_verify, runner)
+        else:
+            assert args.run is runner
+
+
 def run_process(cwd, *argv, cap_env=None, stdout=subprocess.PIPE):
     """The CLI in a fresh interpreter, so an uncaught exception would show
     as a traceback on stderr; stdout is captured unless given."""
@@ -344,8 +405,8 @@ def run_process(cwd, *argv, cap_env=None, stdout=subprocess.PIPE):
 
 class TestPastTheDigitLimit:
     """Domain sizes, caps and coefficients longer than the 4,300 digits that
-    Python converts between int and str by default: the CLI lifts that
-    limit for its process."""
+    Python converts between int and str by default: ``main`` lifts that
+    limit while it runs and puts the caller's limit back on every way out."""
 
     @pytest.mark.parametrize("argv", [("poly",), ("verify", "symmetry")],
                              ids=["poly", "verify"])
@@ -354,7 +415,9 @@ class TestPastTheDigitLimit:
         monkeypatch.delenv("WREATH_CAP", raising=False)
         code, out, err = run(capsys, *argv, "--alpha", "2", "--n", "1500")
         assert (code, out) == (3, "")
-        # main has lifted the limit, so the expected count formats here too.
+        # main has put the default limit back, so the expected count needs
+        # it lifted here to format; the fixture restores it after the test.
+        sys.set_int_max_str_digits(0)
         assert err.splitlines() == [f"error: enumeration of "
                                     f"{2**1499 * math.factorial(1500)} elements "
                                     f"exceeds the cap of 1000000000"]
@@ -381,6 +444,28 @@ class TestPastTheDigitLimit:
                              "--format", fmt)
         assert (code, err) == (0, "")
         assert out.count("1" + "0" * 4400) == copies
+
+    @pytest.mark.parametrize("argv,status,closed", [
+        (("poly", "--alpha", "2", "--n", "3"), 0, False),
+        (("poly", "--alpha", "0", "--n", "2"), 2, False),
+        (("poly", "--alpha", "2", "--n", "4", "--cap", "0"), 3, False),
+        (("poly", "--help"), 0, False),
+        (("poly", "--alpha", "2", "--n", "3"), 2, True),
+    ], ids=["ok", "usage", "cap", "help", "closed-stdout"])
+    def test_main_puts_the_limit_back(self, capsys, monkeypatch, request,
+                                      default_digit_limit, argv, status, closed):
+        monkeypatch.delenv("WREATH_CAP", raising=False)
+        if closed:
+            # A pipe whose reader is gone.  main points its descriptor at
+            # os.devnull, so closing the writer afterwards flushes nowhere.
+            read, write = os.pipe()
+            os.close(read)
+            monkeypatch.setattr(sys, "stdout", open(write, "w"))
+            request.addfinalizer(sys.stdout.close)
+        assert main(list(argv)) == status
+        assert sys.get_int_max_str_digits() == 4300
+        if closed:
+            assert capsys.readouterr().err.startswith("error: cannot write stdout: ")
 
 
 class TestStartup:
