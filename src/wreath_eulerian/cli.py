@@ -56,10 +56,15 @@ _STAT_NAMES = {"descent": STAT_DESCENT, "flag": STAT_FLAG}
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad argument as one ``error:`` line, like every other usage
-    error, instead of argparse's usage block; subparsers inherit it."""
+    error, instead of argparse's usage block; subparsers inherit it.  Its
+    help is written and flushed without argparse's guard, which swallows
+    an OSError, so a closed stdout reaches :func:`main`'s handler."""
 
     def error(self, message: str):
         raise ValidationError(message)
+
+    def print_help(self, file=None):
+        print(self.format_help(), end="", file=file, flush=True)
 
 
 def _sweep_bound(text: str) -> int:

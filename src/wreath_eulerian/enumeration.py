@@ -19,7 +19,12 @@ Three computation routes coexist on purpose:
   pairs by (D(w), D(r(w))) instead, checking a group at its first pair;
   the reversal complements and reverses D(w), so there are again 2^(n-1)
   groups.  Involution needs no classes: the reversal is the pair of its
-  two halves, so it is an involution iff each half is.  Colorings are
+  two halves, so it is an involution iff each half is.  The coset
+  verifier walks the full group as representatives times shifts, and each
+  coset holds alpha elements of one descent count, so it compares alpha
+  times the representatives' distribution with the full group's
+  colored-descent row, the paper's first result; building that row is its
+  one admission.  Colorings are
   the outer loop and classes are checked in order of first appearance, so
   the first failing check's first window is the first failing element in
   (colors, window) order, the element walk's counterexample.  A class
@@ -243,17 +248,6 @@ def iterate_full_group(alpha: int, n: int,
 # ---------------------------------------------------------------------------
 # Transfer-matrix builder
 
-def _nominal_degree(alpha: int, n: int, statistic: str, beta: int | None) -> int:
-    """Maximum of the statistic over the domain: n-1 for colored descents;
-    for flag, alpha*(n-1) plus the largest admissible first color (beta on a
-    fixed-last-color domain, alpha-1 over the full group)."""
-    if statistic == STAT_DESCENT:
-        return n - 1
-    if beta is None:
-        return alpha * n - 1
-    return alpha * (n - 1) + beta
-
-
 def _rows(alpha: int, n_max: int, statistic: str, beta: int | None,
           cap: int | None) -> Iterator[IntPolynomial]:
     """The statistic's polynomial over the domain (beta=None means the full
@@ -277,10 +271,16 @@ def _rows(alpha: int, n_max: int, statistic: str, beta: int | None,
     [k*w, (k+1)*w).  Every slot counts colored suffixes of that domain, so
     it holds at most the domain's size and sums never carry, and a total
     less a prefix sum of its own ranks never borrows.
+
+    Row n is cut at its nominal degree, the statistic's maximum over the
+    domain: n-1 for colored descents; for flag, alpha*(n-1) plus the
+    largest admissible first color, ``top`` (beta on a fixed-last-color
+    domain, alpha-1 over the full group).
     """
     w = _admit(alpha, n_max, beta, cap).bit_length()
     mask = (1 << w) - 1
     flag = statistic == STAT_FLAG
+    top = alpha - 1 if beta is None else beta
     # states[c][r], seeded with the domain's last entry.
     states = [[1 if beta is None or c == beta else 0] for c in range(alpha)]
     for n in range(1, n_max + 1):
@@ -288,7 +288,7 @@ def _rows(alpha: int, n_max: int, statistic: str, beta: int | None,
         grand = sum(totals)
         yield IntPolynomial(tuple(
             (totals[e % alpha] >> w * (e // alpha) if flag else grand >> w * e) & mask
-            for e in range(_nominal_degree(alpha, n, statistic, beta) + 1)))
+            for e in range(alpha * (n - 1) + top + 1 if flag else n)))
         if n == n_max:
             return
         new_states = []
@@ -489,25 +489,26 @@ def verify_abr_identity(n_max: int, cap: int | None = None) -> list[Verification
 def verify_coset_invariance(alpha: int, n: int, cap: int | None = None) -> Verification:
     """Every coset of the color-shift subgroup is one quotient representative
     with its alpha - 1 nonzero shifts: a shift by s must give last color s,
-    canonicalize back to the representative and keep its descent count, and
-    the descent distribution over representatives must match the quotient
-    polynomial.  Each coloring's shifts are checked once, then the descent
-    counts once per (descent class, coloring), each class adding its size
-    to the distribution.  A failed class check names the class's first
-    window, the first failing element in (colors, window) order; a failed
-    color check names the coloring's first element, the identity window.
-    The polynomial is built before the walk, and a coloring's shifts are
-    held only while it is checked, so the build never holds them and memory
-    is O(2^n * n + alpha * n), never O(elements)."""
-    _admit(alpha, n, None, cap)
-    expected = colored_eulerian(alpha, n, cap=cap).polynomial
+    canonicalize back to the representative and keep its descent count.
+    Then the cosets partition the full group into alpha elements of equal
+    count each, so the full group's colored-descent row is alpha times the
+    distribution over the representatives, the paper's first result, and
+    that is the final check.  Each coloring's shifts are collected and then
+    checked, then the descent counts once per (descent class, coloring),
+    each class adding its size to the distribution.  A failed class check
+    names the class's first window, the first failing element in (colors,
+    window) order; a failed color check names the coloring's first element,
+    the identity window.  The row is built before the walk, over the full
+    group that the walk covers, and its build is the one admission.  A
+    coloring's shifts are held only while it is checked, so the build never
+    holds them and memory is O(2^n * n + alpha * n), never O(elements)."""
+    row = stat_report(alpha, n, STAT_DESCENT, "full", cap=cap).polynomial
     classes = _descent_classes(_windows(n), _descent_mask)
     identity = tuple(range(1, n + 1))
     coeffs = [0] * n
     for colors in _colorings(alpha, n, 0):
-        shifts = []
-        for shift in range(1, alpha):
-            shifted = _shift_colors(alpha, colors, shift)
+        shifts = [_shift_colors(alpha, colors, shift) for shift in range(1, alpha)]
+        for shift, shifted in enumerate(shifts, start=1):
             if shifted[-1] != shift:
                 return Verification(False, "color shift does not move the last color",
                                     ColoredPermutation._trusted(alpha, identity, colors))
@@ -515,16 +516,14 @@ def verify_coset_invariance(alpha: int, n: int, cap: int | None = None) -> Verif
                 return Verification(
                     False, "color shift does not canonicalize to its representative",
                     ColoredPermutation._trusted(alpha, identity, shifted))
-            shifts.append(shifted)
         for window, size in classes:
             count = _descents(window, colors)
             if any(_descents(window, shifted) != count for shifted in shifts):
                 return Verification(False, "descent count varies within a coset",
                                     ColoredPermutation._trusted(alpha, window, colors))
             coeffs[count] += size
-    if tuple(coeffs) != expected.coefficients:
-        return Verification(
-            False, "descent distribution over representatives differs from "
-                   "the fixed-last-color-0 distribution")
+    if tuple(alpha * c for c in coeffs) != row.coefficients:
+        return Verification(False, f"{alpha} times the descent distribution over "
+                                   f"representatives differs from the full group's")
     return Verification(
         True, f"{sum(coeffs)} cosets of size {alpha} with constant descent count")

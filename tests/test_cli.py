@@ -559,20 +559,28 @@ class TestFailurePaths:
         assert lines[0].startswith("error: ")
         assert needle in lines[0]
 
-    def test_closed_stdout_is_one_line_usage_error(self, tmp_path):
+    def test_closed_stdout_is_one_line_usage_error(self, tmp_path, monkeypatch):
         # Like an --out path that cannot be written: no traceback, and not
-        # exit 1, the counterexample code.
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            proc = run_process(tmp_path, "poly", "--alpha", "2", "--n", "3",
-                               stdout=write)
-        finally:
-            os.close(write)
-        assert proc.returncode == 2
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: cannot write stdout: ")
+        # exit 1, the counterexample code.  Help too, which argparse would
+        # write through a guard that swallows the error, with stdout
+        # unbuffered and buffered alike.
+        for argv in [("poly", "--alpha", "2", "--n", "3"), ("--help",),
+                     ("poly", "--help"), ("verify", "symmetry", "--help")]:
+            for unbuffered in (True, False):
+                if unbuffered:
+                    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+                else:
+                    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+                read, write = os.pipe()
+                os.close(read)
+                try:
+                    proc = run_process(tmp_path, *argv, stdout=write)
+                finally:
+                    os.close(write)
+                assert proc.returncode == 2, (argv, unbuffered)
+                lines = proc.stderr.splitlines()
+                assert len(lines) == 1, (argv, unbuffered, lines)
+                assert lines[0].startswith("error: cannot write stdout: ")
 
     def test_verify_text_format_still_accepted(self, capsys):
         code, out, _ = run(capsys, "verify", "involution", "--alpha", "2",

@@ -138,14 +138,18 @@ class TestStreams:
 
     @pytest.mark.parametrize("alpha,n", [(1, 3), (2, 1), (2, 3), (3, 2), (3, 3)])
     @pytest.mark.parametrize("name", list(ADMITTED))
-    def test_cap_admits_exactly_the_domain(self, name, alpha, n):
+    def test_cap_admits_exactly_the_domain(self, monkeypatch, name, alpha, n):
         full, reads_beta, call = self.ADMITTED[name]
         size = (full_cardinality if full else quotient_cardinality)(alpha, n)
+        admitted = record(monkeypatch, enumeration, "_admit")
         for beta in range(alpha) if reads_beta else (0,):
             with pytest.raises(CapExceededError) as exc:
                 call(alpha, n, beta, size - 1)
             assert (exc.value.required, exc.value.cap) == (size, size - 1)
+            del admitted[:]
             assert call(alpha, n, beta, size)
+            # One admission per call, of its own domain.
+            assert admitted == [((alpha, n, None if full else beta, size), size)]
             # _admit returns the size it admitted, which the builder packs by.
             assert enumeration._admit(alpha, n, None if full else beta, size) == size
 
@@ -643,16 +647,18 @@ class TestVerifiers:
         assert result.description == "flag polynomial is not palindromic"
         assert result.counterexample is None
 
-    def test_coset_invariance_catches_a_wrong_quotient_row(self, monkeypatch):
-        row = colored_eulerian(2, 3).polynomial
+    def test_coset_invariance_catches_a_wrong_full_group_row(self, monkeypatch):
+        # The walk holds, so only alpha times the representatives'
+        # distribution against the full group's row can fail.
+        row = stat_report(2, 3, "colored-descent", "full").polynomial
         wrong = IntPolynomial(row.coefficients[:-1] + (row.coefficients[-1] + 1,))
         monkeypatch.setattr(
-            enumeration, "colored_eulerian", lambda alpha, n, cap=None:
-            enumeration.StatReport(alpha, n, "colored-descent", "quotient", wrong))
+            enumeration, "stat_report", lambda alpha, n, statistic, domain, cap=None:
+            enumeration.StatReport(alpha, n, statistic, domain, wrong))
         result = verify_coset_invariance(2, 3)
         assert not result.ok
-        assert result.description.startswith(
-            "descent distribution over representatives differs")
+        assert result.description == \
+            "2 times the descent distribution over representatives differs from the full group's"
         assert result.counterexample is None
 
     def test_involution_catches_wrong_reversal_map(self, monkeypatch):
@@ -668,7 +674,7 @@ class TestVerifiers:
     def test_coset_verifier_memory_grows_like_alpha_n(self):
         # One coloring's alpha - 1 shifts are held at a time: at (300, 2)
         # all 300 colorings' shifts would be about 90,000 tuples, some 7 MB.
-        # At (10^5, 1) the quotient polynomial is built before the walk, so
+        # At (10^5, 1) the full group's row is built before the walk, so
         # its build and the shifts are never held together, and the peak
         # stays within 1.5 times that of alpha * n one-tuples.
         def peak(run):
@@ -874,9 +880,10 @@ def element_walk(verify, alpha, n):
             if any(E._descents(window, shifted) != count for shifted in shifts):
                 return fail("descent count varies within a coset", window, colors)
             coeffs[count] += 1
-    if tuple(coeffs) != E.colored_eulerian(alpha, n).polynomial.coefficients:
-        return E.Verification(False, "descent distribution over representatives differs "
-                                     "from the fixed-last-color-0 distribution")
+    row = E.stat_report(alpha, n, E.STAT_DESCENT, "full").polynomial
+    if tuple(alpha * c for c in coeffs) != row.coefficients:
+        return E.Verification(False, f"{alpha} times the descent distribution over "
+                                     f"representatives differs from the full group's")
     return E.Verification(True, f"{sum(coeffs)} cosets of size {alpha} with constant "
                                 f"descent count")
 

@@ -748,9 +748,9 @@ class TestRoutes:
         # The paper's first result: the colored-descent polynomials, over the
         # quotient as over the full group, are real-rooted.  So no row breaks
         # a Newton inequality.
-        rows = [p for alpha in range(1, 6)
-                for p in enumeration._rows(alpha, 30, "descent", beta, 10 ** 60)]
-        assert len(rows) == 150
+        rows = [p for alpha in range(1, 6) for p in enumeration._rows(
+            alpha, 30, enumeration.STAT_DESCENT, beta, 10 ** 60)]
+        assert [p.nominal_degree for p in rows] == list(range(30)) * 5
         assert not any(newton_fails(x_free_rest(p)) for p in rows)
         # The chain reads each rest at most once, as it is, and never a
         # certified one.
