@@ -1,11 +1,18 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and the child-process runner for the test suite.
 
 The streaming distribution here deliberately goes element by element through
 the public iterators and statistic functions; it is the independent route
 checked against the aggregated polynomial builders.
+
+Every child process starts through the ``cli`` fixture: the command under
+test, ``python -m wreath_eulerian.cli`` over ``src/`` unless ``--cli``
+names an installed one, or a ``python -c`` check in the same environment.
 """
 from __future__ import annotations
 
+import os
+import shlex
+import subprocess
 import sys
 
 import pytest
@@ -17,6 +24,61 @@ from wreath_eulerian import (
     iterate_full_group,
 )
 from wreath_eulerian.core import _decimal
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def pytest_addoption(parser):
+    parser.addoption("--cli", type=shlex.split, default=None,
+                     help="the installed command to check, such as wreath-eulerian; "
+                          "by default python -m wreath_eulerian.cli over src/")
+
+
+def child_env(installed: bool = False, **extra) -> dict:
+    """The test's environment for a child: ``WREATH_CAP`` dropped, ``src/``
+    first on ``PYTHONPATH`` unless an installed command is checked, then
+    ``extra``."""
+    env = {k: v for k, v in os.environ.items() if k != "WREATH_CAP"}
+    if not installed:
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+class Runner:
+    """Starts a child from ``cwd`` with text capture and a timeout, so an
+    uncaught exception shows as a traceback on stderr.  ``env`` holds
+    ``child_env``'s extras, ``memory`` caps the child's address space in
+    bytes, and every other keyword goes to ``subprocess.run``."""
+
+    def __init__(self, command: list, installed: bool, cwd) -> None:
+        self.command, self.installed, self.cwd = command, installed, cwd
+
+    def __call__(self, *argv, **options) -> subprocess.CompletedProcess:
+        """The command under test on ``argv``."""
+        return self.start([*self.command, *argv], **options)
+
+    def python(self, code: str, *flags, **options) -> subprocess.CompletedProcess:
+        """``python [flags] -c code``, this interpreter, in the same environment."""
+        return self.start([sys.executable, *flags, "-c", code], **options)
+
+    def start(self, args, env=None, memory=None, **options) -> subprocess.CompletedProcess:
+        if memory is not None:
+            import resource
+
+            options["preexec_fn"] = lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (memory, memory))
+        options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True,
+                   "timeout": 60, **options}
+        return subprocess.run(args, env=child_env(self.installed, **(env or {})),
+                              cwd=self.cwd, **options)
+
+
+@pytest.fixture
+def cli(request, tmp_path):
+    """The runner of the command under test, from an empty directory."""
+    command = request.config.getoption("cli")
+    return Runner(command or [sys.executable, "-m", "wreath_eulerian.cli"],
+                  command is not None, tmp_path)
 
 
 def stream_distribution(alpha: int, n: int, statistic: str,

@@ -3,7 +3,6 @@ import gc
 import json
 import math
 import os
-import subprocess
 import sys
 
 import pytest
@@ -11,8 +10,6 @@ from conftest import record, refuse
 
 from wreath_eulerian import IntPolynomial, StatReport, cli, enumeration
 from wreath_eulerian.cli import main
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -389,20 +386,6 @@ class TestGrammar:
             assert args.run is runner
 
 
-def run_process(cwd, *argv, cap_env=None, stdout=subprocess.PIPE):
-    """The CLI in a fresh interpreter, so an uncaught exception would show
-    as a traceback on stderr; stdout is captured unless given."""
-    env = dict(os.environ)
-    env.pop("WREATH_CAP", None)
-    if cap_env is not None:
-        env["WREATH_CAP"] = cap_env
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "wreath_eulerian.cli", *argv], stdout=stdout,
-        stderr=subprocess.PIPE, text=True, env=env, cwd=cwd, timeout=60)
-
-
 class TestPastTheDigitLimit:
     """Domain sizes, caps and coefficients longer than the 4,300 digits that
     Python converts between int and str by default: ``main`` lifts that
@@ -421,6 +404,22 @@ class TestPastTheDigitLimit:
         assert err.splitlines() == [f"error: enumeration of "
                                     f"{2**1499 * math.factorial(1500)} elements "
                                     f"exceeds the cap of 1000000000"]
+
+    # The refusal names the exact size up to the bit bound by _admit's
+    # estimate, 14n - 2 bits for the alpha-2 quotient: 32,758 at n = 2340
+    # and 32,772 at n = 2341.  Past it, the product that first passed the
+    # cap, here 13!, is a lower bound.
+    @pytest.mark.parametrize("n,size", [
+        (2340, 2**2339 * math.factorial(2340)), (2341, "at least 6227020800")],
+        ids=["exact", "lower-bound"])
+    def test_refusal_past_the_bit_bound(self, capsys, monkeypatch, default_digit_limit,
+                                        n, size):
+        assert 14 * 2340 - 2 <= enumeration._EXACT_BITS < 14 * 2341 - 2
+        monkeypatch.delenv("WREATH_CAP", raising=False)
+        code, out, err = run(capsys, "poly", "--alpha", "2", "--n", str(n))
+        assert (code, out) == (3, "")
+        sys.set_int_max_str_digits(0)
+        assert err == f"error: enumeration of {size} elements exceeds the cap of 1000000000\n"
 
     @pytest.mark.parametrize("via", ["--cap", "WREATH_CAP"])
     def test_long_cap_is_accepted(self, capsys, monkeypatch, default_digit_limit, via):
@@ -469,16 +468,14 @@ class TestPastTheDigitLimit:
 
 
 class TestStartup:
-    def test_import_loads_no_heavy_modules(self, tmp_path):
+    def test_import_loads_no_heavy_modules(self, cli):
         """Every run imports the CLI, so what that import pulls in is paid
         by every process.  -S keeps site's own imports out of the count."""
         heavy = ("dataclasses", "inspect", "typing", "fractions", "decimal", "csv",
                  "json")
-        env = dict(os.environ, PYTHONPATH=SRC)
         code = ("import sys, wreath_eulerian.cli; "
                 f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                              text=True, env=env, cwd=tmp_path, timeout=60)
+        proc = cli.python(code, "-S")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
 
@@ -487,18 +484,14 @@ class TestStartup:
         (("poly", "--alpha", "0", "--n", "2"), 2),
         (("poly", "--alpha", "2", "--n", "4", "--cap", "0"), 3),
     ], ids=["ok", "usage", "cap"])
-    def test_run_exits_with_the_status_of_main_after_freezing(self, tmp_path, argv,
-                                                              status):
-        env = dict(os.environ, PYTHONPATH=SRC)
-        env.pop("WREATH_CAP", None)
+    def test_run_exits_with_the_status_of_main_after_freezing(self, cli, argv, status):
         code = ("import atexit, gc, sys\n"
                 "from wreath_eulerian import cli\n"
                 "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,"
                 " file=sys.stderr))\n"
                 f"sys.argv = ['wreath-eulerian', *{argv!r}]\n"
                 "cli.run()\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, cwd=tmp_path, timeout=60)
+        proc = cli.python(code)
         assert proc.returncode == status, proc.stderr
         assert proc.stderr.splitlines()[-1] == "frozen True"
 
@@ -527,61 +520,6 @@ class TestStartup:
 
 
 class TestFailurePaths:
-    @pytest.mark.parametrize("argv,cap_env,needle", [
-        (("poly", "--alpha", "2", "--n", "3", "--out",
-          os.path.join("no-such-dir", "sub", "out.txt")), None, "--out"),
-        (("poly", "--alpha", "2", "--n", "3"), "abc", "WREATH_CAP"),
-        (("poly", "--alpha", "2", "--n", "3"), "-5", "WREATH_CAP"),
-        (("poly", "--alpha", "2", "--n", "3", "--cap", "-5"), None, "cap"),
-        (("verify", "symmetry", "--alpha", "2", "--n", "3",
-          "--format", "json"), None, "--format"),
-        (("verify", "involution", "--alpha", "2", "--n", "3",
-          "--format", "csv"), None, "--format"),
-        (("poly", "--alpha", "2", "--n", "3", "--cap", "abc"), None, "--cap"),
-        (("poly", "--alpha", "x", "--n", "3"), None, "--alpha"),
-        ((), None, "command"),
-        (("verify", "abr-identity", "--max-n", "0"), None, "max-n"),
-        (("verify", "product-identity", "--max-k", "0"), None, "max-k"),
-        (("poly", "--alpha", "2", "--n", "3", "--beta", "7"), None, "beta"),
-        (("verify", "abr-identity", "--max-n", "2", "--alpha", "7", "--n", "99"),
-         None, "--alpha"),
-        (("verify", "symmetry", "--alpha", "2", "--n", "3", "--max-k", "0"),
-         None, "--max-k"),
-        (("table", "--alpha", "2", "--max-n", "x"), None, "--max-n"),
-    ])
-    def test_one_line_usage_error(self, tmp_path, argv, cap_env, needle):
-        proc = run_process(tmp_path, *argv, cap_env=cap_env)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ")
-        assert needle in lines[0]
-
-    def test_closed_stdout_is_one_line_usage_error(self, tmp_path, monkeypatch):
-        # Like an --out path that cannot be written: no traceback, and not
-        # exit 1, the counterexample code.  Help too, which argparse would
-        # write through a guard that swallows the error, with stdout
-        # unbuffered and buffered alike.
-        for argv in [("poly", "--alpha", "2", "--n", "3"), ("--help",),
-                     ("poly", "--help"), ("verify", "symmetry", "--help")]:
-            for unbuffered in (True, False):
-                if unbuffered:
-                    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
-                else:
-                    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-                read, write = os.pipe()
-                os.close(read)
-                try:
-                    proc = run_process(tmp_path, *argv, stdout=write)
-                finally:
-                    os.close(write)
-                assert proc.returncode == 2, (argv, unbuffered)
-                lines = proc.stderr.splitlines()
-                assert len(lines) == 1, (argv, unbuffered, lines)
-                assert lines[0].startswith("error: cannot write stdout: ")
-
     def test_verify_text_format_still_accepted(self, capsys):
         code, out, _ = run(capsys, "verify", "involution", "--alpha", "2",
                            "--n", "3", "--format", "text")

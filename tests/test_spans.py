@@ -10,18 +10,12 @@ test along with ``spans.py``.
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
-def test_spans_install_on_the_program(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src"),
-         *filter(None, [env.get("PYTHONPATH")])])
-    result = subprocess.run(
-        [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+def test_spans_install_on_the_program(cli):
+    result = cli.python(f"import sys; sys.path.insert(0, {PERFBENCH!r}); "
+                        "import spans; spans.install(spans.Tracer())", timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
