@@ -18,7 +18,7 @@ the text.
 Exit codes: 0 success/verified, 1 verification counterexample, 2 usage
 error (including an invalid ``--cap`` or ``WREATH_CAP``, an ``--out``
 path that cannot be written and a stdout that its reader closed), 3
-resource-cap refusal.
+resource-cap refusal or a build that ran out of memory.
 
 :func:`run` is the process entry point, for the console script and
 ``python -m``; :func:`main` is the in-process call.
@@ -272,6 +272,11 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        # The cap counts elements, not the memory a build holds: the n = 1
+        # row holds alpha states whatever its one element.
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
     except BrokenPipeError as exc:
         # The reader closed stdout.  Pointing it at os.devnull leaves the

@@ -322,9 +322,9 @@ def color_shift_generator(alpha: int, n: int) -> ColoredPermutation:
     """The identity permutation with all colors 1; generates the central
     subgroup of constant color shifts (order alpha)."""
     _require_int("n", n, 1)
-    if alpha == 1:
-        return identity(alpha, n)
-    return ColoredPermutation(alpha, tuple(range(1, n + 1)), (1,) * n)
+    # Checked here, before 1 % alpha can divide by zero or by a non-int.
+    _require_int("alpha", alpha, 1)
+    return ColoredPermutation(alpha, tuple(range(1, n + 1)), (1 % alpha,) * n)
 
 
 def parse(alpha: int, text: str) -> ColoredPermutation:

@@ -1,11 +1,17 @@
 import argparse
+import contextlib
 import gc
+import io
 import json
 import math
 import os
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import record, refuse
 
 from wreath_eulerian import IntPolynomial, StatReport, cli, enumeration
@@ -531,3 +537,99 @@ class TestFailurePaths:
                            "--cap", "0")
         assert code == 3
         assert "exceeds the cap of 0" in err
+
+
+# The command-line grammar for the fuzz test: each command's own flags, and
+# verify's under each target, beside an unknown name; then the flags every
+# leaf takes.  Every numeric value is at most 10 ("1_0"), and every cap at
+# most 2 * 10^5, so each drawn job is small: a small cap alone does not bound
+# the memory of a build (the n = 1 row holds alpha states).
+FUZZ_COMMANDS = {
+    "poly": ("--alpha", "--n", "--stat", "--domain", "--beta"),
+    "table": ("--alpha", "--max-n"),
+    "report": ("--alpha", "--max-n"),
+    "bogus": (),
+}
+FUZZ_TARGETS = {
+    "symmetry": ("--alpha", "--n"),
+    "product-identity": ("--max-k",),
+    "abr-identity": ("--max-n",),
+    "coset-invariance": ("--alpha", "--n"),
+    "involution": ("--alpha", "--n"),
+    "bogus": (),
+}
+FUZZ_SHARED = ("--format", "--cap", "--threads", "--out")
+
+
+def mostly(good, bad):
+    """``good`` seven times in eight, else ``bad``: most drawn jobs then get
+    past the parser."""
+    return st.sampled_from([good] * 7 + [bad]).flatmap(lambda choice: choice)
+
+
+ODD = st.sampled_from(["0", "-1", "+2", "1_0", " 3", "٣", "0x3", "", "3.0"])
+SMALL = mostly(st.integers(1, 7).map(str), ODD)
+CAPS = mostly(st.integers(0, 200_000).map(str), ODD)
+FUZZ_VALUES = {
+    "--stat": mostly(st.sampled_from(["flag", "descent"]), st.just("bogus")),
+    "--domain": mostly(st.sampled_from(["quotient", "full", "fixed"]), st.just("bogus")),
+    "--format": mostly(st.sampled_from(["text", "json", "csv"]), st.just("bogus")),
+    "--cap": CAPS,
+    "--beta": mostly(st.integers(0, 2).map(str), ODD),
+    # {tmp} is the test's temporary directory; its missing/ is never made.
+    "--out": mostly(st.just("{tmp}/out.txt"), st.just("{tmp}/missing/out.txt")),
+}
+FUZZ_FLAGS = sorted({*FUZZ_SHARED, *(f for c in FUZZ_COMMANDS.values() for f in c),
+                     *(f for t in FUZZ_TARGETS.values() for f in t)})
+
+
+@st.composite
+def command_lines(draw):
+    """An argv from the grammar: a command (and a verify target), then its
+    own flags, some shared ones and sometimes one flag of any leaf, in a
+    drawn order, each as ``--flag v`` or ``--flag=v``."""
+    command = draw(st.sampled_from([*FUZZ_COMMANDS, "verify"]))
+    argv, own = [command], FUZZ_COMMANDS.get(command, ())
+    if command == "verify":
+        target = draw(st.sampled_from(list(FUZZ_TARGETS)))
+        argv, own = [command, target], FUZZ_TARGETS[target]
+    flags = [*own, *(f for f in FUZZ_SHARED if draw(st.booleans()))]
+    flags += draw(mostly(st.just([]), st.sampled_from(FUZZ_FLAGS).map(lambda f: [f])))
+    for flag in draw(st.permutations(flags)):
+        value = draw(FUZZ_VALUES.get(flag, SMALL))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+def run_main(argv):
+    """``main(argv)`` with stdout and stderr captured, as (code, out, err);
+    the int-str digit limit must be the same after the call as before."""
+    limit = sys.get_int_max_str_digits()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert sys.get_int_max_str_digits() == limit
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None)
+@given(argv=command_lines(), wreath_cap=CAPS)
+def test_fuzzed_command_line_keeps_its_contracts(argv, wreath_cap):
+    # Each exit code is documented, a failure is one error: line, and
+    # --threads changes nothing: the appended one is the one argparse keeps.
+    # In process, with WREATH_CAP always set, so that no run falls back to
+    # the default cap of 10^9.
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"WREATH_CAP": wreath_cap}):
+        argv = [word.replace("{tmp}", tmp) for word in argv]
+        runs = [run_main([*argv, "--threads", threads]) for threads in ("1", "4")]
+    code, out, err = runs[0]
+    assert runs[1] == runs[0]
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    else:
+        assert err == ""
+    if code == 1:
+        assert argv[0] == "verify" and "\nFAIL " in f"\n{out}"

@@ -398,12 +398,17 @@ class TestParameterChecks:
         lambda: ColorSequence(2, 5),
         lambda: verify_symmetry(None, 3),
         lambda: verify_symmetry(2, None),
+        lambda: color_shift_generator(0, 2),
+        lambda: color_shift_generator(True, 2),
+        lambda: color_shift_generator("2", 2),
+        lambda: color_shift_generator(2.0, 2),
     ], ids=["bool-alpha", "float-alpha", "float-n-max", "identity-n",
             "generator-n", "eulerian-n", "bool-power", "sequence-alpha",
             "sequence-color", "deletion-position", "symmetry-n", "abr-n-max",
             "cap", "int-window", "int-colors", "element-int-colors",
             "int-entry", "int-entries", "triple-entry", "int-sequence-colors",
-            "symmetry-no-alpha", "symmetry-no-n"])
+            "symmetry-no-alpha", "symmetry-no-n", "generator-zero-alpha",
+            "generator-bool-alpha", "generator-str-alpha", "generator-float-alpha"])
     def test_non_int_parameter_rejected(self, call):
         with pytest.raises(ValidationError):
             call()

@@ -184,9 +184,9 @@ def test_large_job(cli, line, timeout, counts):
 # Each command line that fails ends in its exit code with one stderr line,
 # an error: line that matches the pattern, and an empty stdout.  Its
 # NAME=value words are set in the environment, as a shell sets them.  Each
-# runs under a 1.5 GB address-space limit and a 10 s timeout: a domain of
-# astronomical size is refused by a lower bound on its size, never by
-# computing it.
+# runs under a 10 s timeout and, but for OUT_OF_MEMORY below, a 1.5 GB
+# address-space limit: a domain of astronomical size is refused by a lower
+# bound on its size, never by computing it.
 REFUSALS = [
     # Usage errors, exit 2.
     ("poly --alpha 2 --n 3 --out no-such-dir/sub/out.txt", 2, "--out"),
@@ -226,10 +226,21 @@ REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("line,status,pattern", REFUSALS, ids=[shown(c[0]) for c in REFUSALS])
-def test_one_error_line(cli, line, status, pattern):
+# Builds that the cap admits but memory does not: the cap counts elements,
+# and a build holds alpha states however few they are, one at n = 1.  Each
+# runs out of a 300 MB address space and exits 3 in about 2 s.
+OUT_OF_MEMORY = [
+    ("poly --alpha 100000000000 --n 1", 3, "^error: out of memory$"),
+    ("poly --alpha 500000000 --n 2 --format csv", 3, "^error: out of memory$"),
+    (f"report --alpha {10**40} --max-n 1 --cap 7", 3, "^error: out of memory$"),
+]
+LIMITS = [(*c, 1_500_000_000) for c in REFUSALS] + [(*c, 300_000_000) for c in OUT_OF_MEMORY]
+
+
+@pytest.mark.parametrize("line,status,pattern,memory", LIMITS, ids=[shown(c[0]) for c in LIMITS])
+def test_one_error_line(cli, line, status, pattern, memory):
     words = line.split()
-    proc = cli(*(w for w in words if "=" not in w), timeout=10, memory=1_500_000_000,
+    proc = cli(*(w for w in words if "=" not in w), timeout=10, memory=memory,
                env=dict(w.split("=", 1) for w in words if "=" in w))
     assert (proc.returncode, proc.stdout) == (status, "")
     lines = proc.stderr.splitlines()
