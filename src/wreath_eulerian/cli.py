@@ -34,6 +34,8 @@ from .core import ValidationError
 from .enumeration import (
     STAT_DESCENT,
     STAT_FLAG,
+    _DOMAINS,
+    _QUOTIENT,
     CapExceededError,
     StatReport,
     _reports,
@@ -114,8 +116,7 @@ def _build_parser(argv: list[str] | None) -> argparse.ArgumentParser:
     commands = {
         "poly": ("one statistic polynomial", _run_poly, {
             **walk, "--stat": {"choices": tuple(_STAT_NAMES), "default": "flag"},
-            "--domain": {"choices": ("quotient", "full", "fixed"),
-                         "default": "quotient"},
+            "--domain": {"choices": _DOMAINS, "default": _QUOTIENT},
             "--beta": {"type": int, "default": 0,
                        "help": "last color for --domain fixed"}}),
         "table": ("flag count table over the quotient", _run_table, sweep),
@@ -240,7 +241,7 @@ def _run_verify(args) -> tuple[str, int]:
 def _run_report(args) -> tuple[str, int]:
     records = [_record("report", report, "flag")
                for report in _reports(args.alpha, args.max_n, STAT_FLAG,
-                                      "quotient", 0, args.cap)]
+                                      _QUOTIENT, 0, args.cap)]
     if args.format == "json":
         return _sweep_json(args, records), EXIT_OK
     rows = [[str(record[key]).lower() for key in _ROW_KEYS]

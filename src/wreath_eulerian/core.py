@@ -118,11 +118,13 @@ class _Record:
     ``_Record.__init__`` sets them, in that order, through
     ``object.__setattr__``, since assignment is refused; a subclass checks
     its input, if it takes any, and then calls it.  Two paths set the slots
-    directly, as each is paid per call by a workload:
-    ``ColoredPermutation._trusted``, once per element of every stream, and
-    ``IntPolynomial.__init__``, once per polynomial built or analyzed.
-    Equality (same class only), hash, repr, ``match`` and pickling read the
-    fields; unpickling and ``copy`` rerun ``__init__``."""
+    directly.  ``ColoredPermutation._trusted`` runs once per element of the
+    public streams (``iterate_*``); no CLI command walks them, but through
+    ``__init__`` a walk of the (3, 6) full group took 2.7 times as long.
+    ``IntPolynomial.__init__`` runs once per polynomial built or analyzed,
+    and stores a plain tuple like every checked constructor.  Equality
+    (same class only), hash, repr, ``match`` and pickling read the fields;
+    unpickling and ``copy`` rerun ``__init__``."""
 
     __slots__ = ()
 

@@ -95,6 +95,8 @@ _EXACT_BITS = 1 << 15
 
 STAT_DESCENT = "colored-descent"
 STAT_FLAG = "flag"
+# The domain names, written only here; the CLI offers them as --domain.
+_DOMAINS = _QUOTIENT, _FULL, _FIXED = ("quotient", "full", "fixed")
 
 
 class CapExceededError(RuntimeError):
@@ -145,19 +147,21 @@ def _admit(alpha: int, n: int, beta: int | None, cap: int | None) -> int:
     group), then refuse a domain larger than the resolved cap.  Returns the
     size it admitted.
 
-    The size is n! * alpha^free, with n free colors on the full group and
-    n - 1 otherwise.  A running product of its factors, 1..n and then alpha
-    once per free color, meets the cap after each one and stops as soon as
-    it passes it, so a refusal takes about log2(cap) multiplications at any
-    n.  Admitted, the product is the exact size.  Refused, the error names
-    the exact size when its bit length is at most ``_EXACT_BITS`` by the
-    estimate n * bitlen(n) + free * bitlen(alpha), an upper bound, and
-    otherwise the product so far, a lower bound."""
+    The size is the domain's public cardinality, ``full_cardinality`` or
+    ``quotient_cardinality``: n! times alpha once per free color, with n
+    free colors on the full group and n - 1 otherwise.  A running product
+    of those factors, 1..n and then each alpha, meets the cap after each
+    one and stops as soon as it passes it, so a refusal takes about
+    log2(cap) multiplications at any n.  Admitted, the product is the exact
+    size.  Refused, the error names the exact size, from the cardinality,
+    when its bit length is at most ``_EXACT_BITS`` by the estimate
+    n * bitlen(n) + free * bitlen(alpha), an upper bound, and otherwise the
+    product so far, a lower bound."""
     _check_parameters(alpha, n)
     if beta is not None:
         _require_color("beta", beta, alpha)
     cap = resolve_cap(cap)
-    free = n if beta is None else n - 1
+    free, cardinality = (n, full_cardinality) if beta is None else (n - 1, quotient_cardinality)
     size = 1
     # From 1, so that even a one-element domain meets the cap; alpha's
     # factors from a range, since itertools.repeat refuses a count past
@@ -166,7 +170,7 @@ def _admit(alpha: int, n: int, beta: int | None, cap: int | None) -> int:
         size *= factor
         if size > cap:
             exact = n * n.bit_length() + free * alpha.bit_length() <= _EXACT_BITS
-            raise CapExceededError(alpha**free * math.factorial(n) if exact else size, cap, exact)
+            raise CapExceededError(cardinality(alpha, n) if exact else size, cap, exact)
     return size
 
 
@@ -176,8 +180,8 @@ def quotient_cardinality(alpha: int, n: int) -> int:
 
 
 def full_cardinality(alpha: int, n: int) -> int:
-    _check_parameters(alpha, n)
-    return alpha**n * math.factorial(n)
+    # alpha cosets of the quotient's size.
+    return alpha * quotient_cardinality(alpha, n)
 
 
 class StatReport(_Record):
@@ -340,10 +344,10 @@ def _reports(alpha: int, n_max: int, statistic: str, domain: str,
     # Checked on every domain, so a beta that no domain reads is refused
     # rather than ignored.
     _require_color("beta", beta, alpha)
-    if domain not in ("quotient", "full", "fixed"):
+    if domain not in _DOMAINS:
         raise ValidationError(f"unknown domain {_shown(domain)}")
-    fixed = {"quotient": 0, "full": None, "fixed": beta}[domain]
-    label = f"fixed:{beta}" if domain == "fixed" else domain
+    fixed = {_QUOTIENT: 0, _FULL: None, _FIXED: beta}[domain]
+    label = f"{domain}:{beta}" if domain == _FIXED else domain
     for n, polynomial in enumerate(_rows(alpha, n_max, statistic, fixed, cap), start=1):
         yield StatReport(alpha, n, statistic, label, polynomial)
 
@@ -359,21 +363,21 @@ def colored_eulerian(alpha: int, n: int, cap: int | None = None,
                      workers: int = 1) -> StatReport:
     """Generating polynomial of colored descents over the quotient (one
     representative per coset, last color 0)."""
-    return _build(alpha, n, STAT_DESCENT, "quotient", 0, cap)
+    return _build(alpha, n, STAT_DESCENT, _QUOTIENT, 0, cap)
 
 
 def flag_eulerian_quotient(alpha: int, n: int, cap: int | None = None,
                            workers: int = 1) -> StatReport:
     """Flag Eulerian polynomial over the quotient, nominal degree
     alpha*(n-1)."""
-    return _build(alpha, n, STAT_FLAG, "quotient", 0, cap)
+    return _build(alpha, n, STAT_FLAG, _QUOTIENT, 0, cap)
 
 
 def flag_eulerian_full(alpha: int, n: int, cap: int | None = None,
                        workers: int = 1) -> StatReport:
     """Flag Eulerian polynomial over the whole group, nominal degree
     alpha*n - 1."""
-    return _build(alpha, n, STAT_FLAG, "full", 0, cap)
+    return _build(alpha, n, STAT_FLAG, _FULL, 0, cap)
 
 
 def stat_report(alpha: int, n: int, statistic: str, domain: str,
@@ -407,7 +411,7 @@ def flag_table(alpha: int, n_max: int, cap: int | None = None,
     _require_int("alpha", alpha, 1)
     if not _sweeps("n_max", n_max):
         return []
-    return [r.polynomial for r in _reports(alpha, n_max, STAT_FLAG, "quotient", 0, cap)]
+    return [r.polynomial for r in _reports(alpha, n_max, STAT_FLAG, _QUOTIENT, 0, cap)]
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +530,7 @@ def verify_coset_invariance(alpha: int, n: int, cap: int | None = None) -> Verif
     group that the walk covers, and its build is the one admission.  A
     coloring's shifts are held only while it is checked, so the build never
     holds them and memory is O(2^n * n + alpha * n), never O(elements)."""
-    row = stat_report(alpha, n, STAT_DESCENT, "full", cap=cap).polynomial
+    row = stat_report(alpha, n, STAT_DESCENT, _FULL, cap=cap).polynomial
     classes = _descent_classes(_windows(n), _descent_mask)
     identity = tuple(range(1, n + 1))
     coeffs = [0] * n

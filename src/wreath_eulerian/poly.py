@@ -58,10 +58,9 @@ class IntPolynomial(_Record):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: tuple[int, ...]) -> None:
-        if not isinstance(coefficients, tuple):
-            coefficients = _as_tuple("coefficients", coefficients)
+        coefficients = _as_tuple("coefficients", coefficients)
         if not coefficients:
-            raise ValueError("coefficient sequence must be nonempty")
+            raise ValidationError("coefficient sequence must be nonempty")
         # One pass over the types; the scan for a bool or a non-int runs
         # only when some coefficient's type is not int itself.
         if (not {*map(type, coefficients)} <= {int}

@@ -5,20 +5,24 @@ does not use (Eulerian numbers by their alternating sum, descent-set counts
 by inclusion-exclusion, the colored-descent closed form) and checks shape
 verdicts against theory.  It is loaded here by path, so the suite runs it
 on a fixed grid of ``poly``, ``table`` and ``report`` jobs in every format,
-not only on the benchmark's golden outputs.
+not only on the benchmark's golden outputs.  Each of those golden outputs,
+``perfbench/golden.json``, is also checked byte for byte: the benchmark
+counts a job whose stdout differs from it as failed.
 """
 from __future__ import annotations
 
 import ast
 import importlib.util
+import json
 import os
 
 import pytest
 
 from wreath_eulerian.cli import main
 
-ORACLE_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                           "perfbench", "oracle.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+ORACLE_PATH = os.path.join(PERFBENCH, "oracle.py")
 _spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE_PATH)
 oracle = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(oracle)
@@ -66,3 +70,18 @@ def test_the_oracle_imports_nothing_from_the_package():
                 if isinstance(node, ast.ImportFrom)]
     assert "json" in modules
     assert [m for m in modules if m.split(".")[0] == "wreath_eulerian"] == []
+
+
+with open(os.path.join(PERFBENCH, "golden.json"), encoding="utf-8") as _handle:
+    GOLDEN = json.load(_handle)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_cli_output_matches_the_golden_bytes(capsys, monkeypatch, key):
+    # Each key is the job's argv, run as the benchmark runs it: with no
+    # WREATH_CAP, so under the default cap.
+    monkeypatch.delenv("WREATH_CAP", raising=False)
+    code = main(key.split())
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == GOLDEN[key]

@@ -1,6 +1,7 @@
 """The contract of the six immutable value classes: equality within one
 class, hash, repr, refused assignment, keyword construction, pickling and
 copying, and positional ``match``."""
+import collections
 import copy
 import pickle
 
@@ -13,6 +14,7 @@ from wreath_eulerian import (
     IntPolynomial,
     StatReport,
     Verification,
+    is_palindromic,
 )
 
 ELEMENT = ColoredPermutation(2, (2, 1), (1, 0))
@@ -128,14 +130,30 @@ def test_checked_constructors_store_plain_tuples():
     class Row(tuple):
         pass
 
+    Coefficients = collections.namedtuple("Coefficients", "a b c")
     w = ColoredPermutation(2, Row((2, 1)), Row((1, 0)))
     m = GenPermMatrix(2, 2, Row((Row((2, 1)), Row((1, 0)))))
     s = ColorSequence(3, Row((0, 2, 1)))
+    p = IntPolynomial(Row((1, 2, 1)))
+    q = IntPolynomial(Coefficients(1, 2, 1))
     assert type(w.window) is tuple and type(w.colors) is tuple
     assert type(m.entries) is tuple and {type(e) for e in m.entries} == {tuple}
     assert type(s.colors) is tuple
-    assert (w, m, s) == (ELEMENT, GenPermMatrix(2, 2, ((2, 1), (1, 0))),
-                         ColorSequence(3, (0, 2, 1)))
+    assert type(p.coefficients) is tuple and type(q.coefficients) is tuple
+    assert (w, m, s, p, q) == (ELEMENT, GenPermMatrix(2, 2, ((2, 1), (1, 0))),
+                               ColorSequence(3, (0, 2, 1)), IntPolynomial((1, 2, 1)),
+                               IntPolynomial((1, 2, 1)))
+    # A namedtuple leaves no trace in the repr or in a copy.
+    for copied in (copy.copy(q), pickle.loads(pickle.dumps(q))):
+        assert type(copied.coefficients) is tuple
+    assert repr(q) == "IntPolynomial(coefficients=(1, 2, 1))"
+
+    # Nor does a subclass's own equality reach the shape predicates.
+    class Unequal(tuple):
+        def __eq__(self, other):
+            return False
+
+    assert is_palindromic(IntPolynomial(Unequal((1, 2, 1))))
 
 
 def test_verification_counterexample_defaults_to_none():

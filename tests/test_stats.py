@@ -4,6 +4,7 @@ import pytest
 
 from wreath_eulerian import (
     ColorSequence,
+    IntPolynomial,
     ValidationError,
     colored_descent_count,
     colored_descent_set,
@@ -189,6 +190,11 @@ class TestWindingNumbers:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValidationError, match="^color sequence must be nonempty$"):
             ColorSequence(2, ())
+
+    def test_empty_polynomial_rejected(self):
+        # Refused like every other empty sequence.
+        with pytest.raises(ValidationError, match="^coefficient sequence must be nonempty$"):
+            IntPolynomial(())
 
     def test_mark_out_of_range(self):
         s = ColorSequence(3, (0, 1))
