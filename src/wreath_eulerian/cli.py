@@ -17,8 +17,9 @@ the text.
 
 Exit codes: 0 success/verified, 1 verification counterexample, 2 usage
 error (including an invalid ``--cap`` or ``WREATH_CAP``, an ``--out``
-path that cannot be written and a stdout that its reader closed), 3
-resource-cap refusal or a build that ran out of memory.
+path that cannot be written and a stdout that cannot be written, whether
+its reader closed it or it is full), 3 resource-cap refusal or a build
+that ran out of memory.
 
 :func:`run` is the process entry point, for the console script and
 ``python -m``; :func:`main` is the in-process call.
@@ -60,7 +61,8 @@ class _Parser(argparse.ArgumentParser):
     """Reports a bad argument as one ``error:`` line, like every other usage
     error, instead of argparse's usage block; subparsers inherit it.  Its
     help is written and flushed without argparse's guard, which swallows
-    an OSError, so a closed stdout reaches :func:`main`'s handler."""
+    an OSError, so a stdout that cannot be written reaches :func:`main`'s
+    handler."""
 
     def error(self, message: str):
         raise ValidationError(message)
@@ -187,20 +189,6 @@ def _sweep_json(args, rows: list[dict]) -> str:
                   "max_n": args.max_n, "rows": rows})
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        # Flushed here, so that a closed stdout fails inside main's guard.
-        sys.stdout.write(text)
-        sys.stdout.flush()
-        return
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise ValueError(
-            f"cannot write --out {out}: {exc.strerror or exc}") from None
-
-
 def _run_poly(args) -> tuple[str, int]:
     report = stat_report(args.alpha, args.n, _STAT_NAMES[args.stat],
                          args.domain, beta=args.beta, cap=args.cap)
@@ -259,14 +247,23 @@ def main(argv: list[str] | None = None) -> int:
     # its domain sizes, caps and coefficients pass 4,300 digits at ordinary
     # inputs, such as the (2, 1500) quotient.  So main lifts the limit and
     # puts it back on every way out: an in-process caller keeps its own.
-    # ``limit`` is None where Python has no limit (before 3.10.7).
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    # What an OSError failed to write: the --out path, or None for stdout,
+    # which help writes too.
+    out = None
     try:
         args = _build_parser(argv).parse_args(argv)
         text, status = args.run(args)
-        _emit(text, args.out)
+        out = args.out
+        if out is None:
+            # Flushed here, so that a stdout that cannot be written fails
+            # inside the guard below.
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
         return status
     except SystemExit as exc:
         # argparse exits only through ArgumentParser.exit, with an int.
@@ -279,20 +276,23 @@ def main(argv: list[str] | None = None) -> int:
         # row holds alpha states whatever its one element.
         print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
-    except BrokenPipeError as exc:
-        # The reader closed stdout.  Pointing it at os.devnull leaves the
-        # flush at interpreter exit nothing to fail on.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:
+        # The library does no I/O, so writing the output failed.  When
+        # stdout did (its reader closed it, or it is full), pointing it at
+        # os.devnull leaves the flush at interpreter exit nothing to fail
+        # on; an --out failure leaves the caller's descriptors alone.
+        if out is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        target = "stdout" if out is None else f"--out {out}"
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

@@ -181,7 +181,9 @@ def _square_free_chain(c: list[int]) -> list[list[int]]:
     scaled by a power of |lc| of the divisor, then negated and divided by
     its content: both factors are positive, so every sign of the rational
     chain is kept, and the content division keeps the coefficients small.
-    Before the gcd division the last entry is gcd(c, c') up to a constant."""
+    Before the gcd division the last entry is gcd(c, c') up to a constant.
+    A constant gcd is +1 or -1 once primitive: dividing by it at most
+    negates the whole chain, which changes no sign-variation count."""
     chain = [c]
     b = _trim([i * c[i] for i in range(1, len(c))])
     while b:
@@ -198,12 +200,9 @@ def _square_free_chain(c: list[int]) -> list[list[int]]:
             _trim(r)
         content = math.gcd(*r)
         b = [-x // content for x in r]
-    g = chain[-1]
-    if len(g) > 1:
-        content = math.gcd(*g)
-        g = [x // content for x in g]
-        chain = [_exact_quotient(e, g) for e in chain]
-    return chain
+    content = math.gcd(*chain[-1])
+    g = [x // content for x in chain[-1]]
+    return [_exact_quotient(e, g) for e in chain]
 
 
 def _palindromic_reduction(c: list[int]) -> list[int]:

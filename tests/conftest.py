@@ -131,8 +131,6 @@ def default_digit_limit():
     with (``PYTHONINTMAXSTRDIGITS``, ``-X int_max_str_digits``).  ``main``
     lifts the limit only while it runs, so the test sees the default on
     both sides of an in-process run."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int-str digit limit")
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     yield

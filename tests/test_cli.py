@@ -538,6 +538,17 @@ class TestFailurePaths:
         assert code == 3
         assert "exceeds the cap of 0" in err
 
+    def test_unwritable_out_leaves_stdout_alone(self, capfd, tmp_path):
+        # main reports the --out path and exits 2, and only a stdout that
+        # cannot be written is pointed at os.devnull: after the failure a
+        # print still reaches the caller's stdout.
+        path = tmp_path / "no-such-dir" / "x"
+        assert main(["poly", "--alpha", "2", "--n", "3", "--out", str(path)]) == 2
+        print("still written", flush=True)
+        assert capfd.readouterr() == (
+            "still written\n",
+            f"error: cannot write --out {path}: No such file or directory\n")
+
 
 # The command-line grammar for the fuzz test: each command's own flags, and
 # verify's under each target, beside an unknown name; then the flags every

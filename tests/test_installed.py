@@ -248,21 +248,45 @@ def test_one_error_line(cli, line, status, pattern, memory):
     assert lines[0].startswith("error: ") and re.search(pattern, lines[0]), lines[0][:200]
 
 
-@pytest.mark.parametrize("line", ["poly --alpha 2 --n 3", "--help", "poly --help",
-                                  "verify symmetry --help"], ids=shown)
-@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-def test_closed_stdout_is_one_line_usage_error(cli, line, unbuffered):
-    # Like an --out path that cannot be written: no traceback, and not exit
-    # 1, the counterexample code.  Help too, which argparse would write
-    # through a guard that swallows the error.  An empty PYTHONUNBUFFERED
-    # leaves stdout buffered.
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = cli(*line.split(), stdout=write, env={"PYTHONUNBUFFERED": unbuffered})
-    finally:
-        os.close(write)
+# The command lines whose stdout cannot be written, each run buffered and
+# unbuffered (an empty PYTHONUNBUFFERED leaves stdout buffered).  Help too,
+# which argparse would write through a guard that swallows the error.
+each_line = pytest.mark.parametrize(
+    "line", ["poly --alpha 2 --n 3", "--help", "poly --help", "verify symmetry --help"],
+    ids=shown)
+each_buffering = pytest.mark.parametrize("unbuffered", ["1", ""],
+                                         ids=["unbuffered", "buffered"])
+
+
+def stdout_error(cli, line, unbuffered, stdout) -> str:
+    """The one stderr line of ``line`` run with ``stdout`` as its stdout:
+    like an --out path that cannot be written, exit 2 and no traceback, and
+    not exit 1, the counterexample code."""
+    proc = cli(*line.split(), stdout=stdout, env={"PYTHONUNBUFFERED": unbuffered})
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, lines
-    assert lines[0].startswith("error: cannot write stdout: ")
+    return lines[0]
+
+
+@each_line
+@each_buffering
+def test_closed_stdout_is_one_line_usage_error(cli, line, unbuffered):
+    # A pipe whose reader is gone.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        error = stdout_error(cli, line, unbuffered, write)
+    finally:
+        os.close(write)
+    assert error.startswith("error: cannot write stdout: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@each_line
+@each_buffering
+def test_full_stdout_is_one_line_usage_error(cli, line, unbuffered):
+    # A device that refuses every write as a full disk does.
+    with open("/dev/full", "w") as full:
+        error = stdout_error(cli, line, unbuffered, full)
+    assert error == "error: cannot write stdout: No space left on device"
